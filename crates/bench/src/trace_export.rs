@@ -9,7 +9,11 @@
 //! bit* like the in-memory recording. Keys are emitted in sorted order
 //! and integers as plain decimals, so equal recordings serialise to
 //! identical bytes — the golden-trace determinism tests diff files
-//! directly.
+//! directly. No event is spelled out here: an event line carries every
+//! field of its vocabulary row under the field's own name (integers as
+//! decimals, kinds as their labels), written through
+//! [`TraceEvent::visit_fields`] and read back through
+//! [`TraceEvent::from_fields`].
 //!
 //! The Chrome form is the human-facing view: charges become duration
 //! (`"X"`) slices on one lane per CPU, everything else becomes instant
@@ -20,7 +24,8 @@
 use crate::json::Json;
 use bfgts_scenario::Scenario;
 use bfgts_trace::{
-    AuditInputs, BucketKind, ConfKind, DecisionKind, TraceEvent, TraceRec, TraceRecording,
+    AuditInputs, BucketKind, ConfKind, DecisionKind, FieldKind, FieldValue, TraceEvent, TraceRec,
+    TraceRecording,
 };
 
 /// Format version stamped into (and required of) the JSONL header.
@@ -158,12 +163,14 @@ pub fn parse_jsonl_full(
         }
     };
 
-    let mut events = Vec::with_capacity(declared as usize);
-    for (i, line) in lines {
-        let n = i + 1;
-        let value = Json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
-        events.push(rec_from_json(&value).ok_or_else(|| format!("line {n}: malformed event"))?);
-    }
+    // Sized by the lines actually present, never by the header's count.
+    let events = lines
+        .map(|(i, line)| {
+            let n = i + 1;
+            let value = Json::parse(line).map_err(|e| format!("line {n}: {e}"))?;
+            rec_from_json(&value).ok_or_else(|| format!("line {n}: malformed event"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     if events.len() as u64 != declared {
         return Err(format!(
             "header declares {declared} events but file has {}",
@@ -183,215 +190,22 @@ pub fn parse_jsonl_full(
 }
 
 fn rec_to_json(rec: &TraceRec) -> Json {
-    let u = |x: u32| Json::UInt(u64::from(x));
     let mut pairs: Vec<(&'static str, Json)> = vec![
         ("seq", Json::UInt(rec.seq)),
         ("at", Json::UInt(rec.at)),
         ("ev", Json::Str(rec.ev.name().into())),
     ];
-    match rec.ev {
-        TraceEvent::Charge {
-            cpu,
-            thread,
-            bucket,
-            cycles,
-        } => pairs.extend([
-            ("cpu", u(cpu)),
-            ("thread", u(thread)),
-            ("bucket", Json::Str(bucket.label().into())),
-            ("cycles", Json::UInt(cycles)),
-        ]),
-        TraceEvent::Refile {
-            thread,
-            from,
-            to,
-            requested,
-            moved,
-        } => pairs.extend([
-            ("thread", u(thread)),
-            ("from", Json::Str(from.label().into())),
-            ("to", Json::Str(to.label().into())),
-            ("requested", Json::UInt(requested)),
-            ("moved", Json::UInt(moved)),
-        ]),
-        TraceEvent::ContextSwitch { cpu, thread, cost } => pairs.extend([
-            ("cpu", u(cpu)),
-            ("thread", u(thread)),
-            ("cost", Json::UInt(cost)),
-        ]),
-        TraceEvent::TxBegin {
-            thread,
-            stx,
-            retries,
-        } => pairs.extend([
-            ("thread", u(thread)),
-            ("stx", u(stx)),
-            ("retries", u(retries)),
-        ]),
-        TraceEvent::TxConflict {
-            thread,
-            stx,
-            enemy_thread,
-            enemy_stx,
-            stalled,
-        } => pairs.extend([
-            ("thread", u(thread)),
-            ("stx", u(stx)),
-            ("enemy_thread", u(enemy_thread)),
-            ("enemy_stx", u(enemy_stx)),
-            ("stalled", Json::Bool(stalled)),
-        ]),
-        TraceEvent::TxStall { thread, stx } => {
-            pairs.extend([("thread", u(thread)), ("stx", u(stx))]);
-        }
-        TraceEvent::TxSuspend {
-            thread,
-            stx,
-            target_thread,
-            target_stx,
-            yielding,
-        } => pairs.extend([
-            ("thread", u(thread)),
-            ("stx", u(stx)),
-            ("target_thread", u(target_thread)),
-            ("target_stx", u(target_stx)),
-            ("yielding", Json::Bool(yielding)),
-        ]),
-        TraceEvent::TxAbort {
-            thread,
-            stx,
-            undo_lines,
-        } => pairs.extend([
-            ("thread", u(thread)),
-            ("stx", u(stx)),
-            ("undo_lines", u(undo_lines)),
-        ]),
-        TraceEvent::TxCommit {
-            thread,
-            stx,
-            retries,
-            rw_lines,
-        } => pairs.extend([
-            ("thread", u(thread)),
-            ("stx", u(stx)),
-            ("retries", u(retries)),
-            ("rw_lines", u(rw_lines)),
-        ]),
-        TraceEvent::SchedDecision {
-            thread,
-            stx,
-            kind,
-            target_thread,
-            target_stx,
-            cost,
-        } => pairs.extend([
-            ("thread", u(thread)),
-            ("stx", u(stx)),
-            ("kind", Json::Str(kind.label().into())),
-            ("target_thread", u(target_thread)),
-            ("target_stx", u(target_stx)),
-            ("cost", Json::UInt(cost)),
-        ]),
-        TraceEvent::ConfUpdate {
-            kind,
-            a_stx,
-            b_stx,
-            sim_a_bits,
-            sim_b_bits,
-            param_bits,
-            applied_bits,
-        } => pairs.extend([
-            ("kind", Json::Str(kind.label().into())),
-            ("a_stx", u(a_stx)),
-            ("b_stx", u(b_stx)),
-            ("sim_a_bits", Json::UInt(sim_a_bits)),
-            ("sim_b_bits", Json::UInt(sim_b_bits)),
-            ("param_bits", Json::UInt(param_bits)),
-            ("applied_bits", Json::UInt(applied_bits)),
-        ]),
-        TraceEvent::BloomSample {
-            thread,
-            stx,
-            raw_bits,
-            clamped_bits,
-        } => pairs.extend([
-            ("thread", u(thread)),
-            ("stx", u(stx)),
-            ("raw_bits", Json::UInt(raw_bits)),
-            ("clamped_bits", Json::UInt(clamped_bits)),
-        ]),
-        TraceEvent::ShardTouch { thread, stx, shard } => {
-            pairs.extend([("thread", u(thread)), ("stx", u(stx)), ("shard", u(shard))]);
-        }
-        TraceEvent::CrossShardCommit {
-            thread,
-            stx,
-            shards,
-            cost,
-        } => pairs.extend([
-            ("thread", u(thread)),
-            ("stx", u(stx)),
-            ("shards", u(shards)),
-            ("cost", Json::UInt(cost)),
-        ]),
-        TraceEvent::FaultBloomCorrupt { thread, stx, bits } => {
-            pairs.extend([("thread", u(thread)), ("stx", u(stx)), ("bits", u(bits))]);
-        }
-        TraceEvent::FalsePositiveConflict {
-            thread,
-            stx,
-            enemy_thread,
-            enemy_stx,
-            true_conflicts,
-        } => pairs.extend([
-            ("thread", u(thread)),
-            ("stx", u(stx)),
-            ("enemy_thread", u(enemy_thread)),
-            ("enemy_stx", u(enemy_stx)),
-            ("true_conflicts", u(true_conflicts)),
-        ]),
-        TraceEvent::CapacityAbort {
-            thread,
-            stx,
-            tracked,
-            capacity,
-        } => pairs.extend([
-            ("thread", u(thread)),
-            ("stx", u(stx)),
-            ("tracked", u(tracked)),
-            ("capacity", u(capacity)),
-        ]),
-        TraceEvent::FaultConfPoison {
-            thread,
-            saturate,
-            entries,
-        } => pairs.extend([
-            ("thread", u(thread)),
-            ("saturate", Json::Bool(saturate)),
-            ("entries", Json::UInt(entries)),
-        ]),
-        TraceEvent::TxArrival {
-            thread,
-            stx,
-            arrival,
-        } => pairs.extend([
-            ("thread", u(thread)),
-            ("stx", u(stx)),
-            ("arrival", Json::UInt(arrival)),
-        ]),
-        TraceEvent::QueueDepth { thread, depth } => {
-            pairs.extend([("thread", u(thread)), ("depth", Json::UInt(depth))]);
-        }
-        TraceEvent::WindowAdvance {
-            thread,
-            window,
-            priority,
-        } => pairs.extend([
-            ("thread", u(thread)),
-            ("window", Json::UInt(window)),
-            ("priority", Json::UInt(priority)),
-        ]),
-    }
+    rec.ev.visit_fields(|key, value| {
+        let json = match value {
+            FieldValue::U32(x) => Json::UInt(u64::from(x)),
+            FieldValue::U64(x) => Json::UInt(x),
+            FieldValue::Bool(b) => Json::Bool(b),
+            FieldValue::Bucket(b) => Json::Str(b.label().into()),
+            FieldValue::Decision(d) => Json::Str(d.label().into()),
+            FieldValue::Conf(k) => Json::Str(k.label().into()),
+        };
+        pairs.push((key, json));
+    });
     Json::obj(pairs)
 }
 
@@ -399,139 +213,20 @@ fn rec_from_json(v: &Json) -> Option<TraceRec> {
     let seq = v.get("seq")?.as_u64()?;
     let at = v.get("at")?.as_u64()?;
     let name = v.get("ev")?.as_str()?;
-    let u32f = |key: &str| -> Option<u32> { v.get(key)?.as_u64()?.try_into().ok() };
-    let u64f = |key: &str| v.get(key)?.as_u64();
-    let boolf = |key: &str| match v.get(key)? {
-        Json::Bool(b) => Some(*b),
-        _ => None,
-    };
-    let bucketf = |key: &str| BucketKind::from_label(v.get(key)?.as_str()?);
-    let ev = match name {
-        "charge" => TraceEvent::Charge {
-            cpu: u32f("cpu")?,
-            thread: u32f("thread")?,
-            bucket: bucketf("bucket")?,
-            cycles: u64f("cycles")?,
-        },
-        "refile" => TraceEvent::Refile {
-            thread: u32f("thread")?,
-            from: bucketf("from")?,
-            to: bucketf("to")?,
-            requested: u64f("requested")?,
-            moved: u64f("moved")?,
-        },
-        "context_switch" => TraceEvent::ContextSwitch {
-            cpu: u32f("cpu")?,
-            thread: u32f("thread")?,
-            cost: u64f("cost")?,
-        },
-        "tx_begin" => TraceEvent::TxBegin {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            retries: u32f("retries")?,
-        },
-        "tx_conflict" => TraceEvent::TxConflict {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            enemy_thread: u32f("enemy_thread")?,
-            enemy_stx: u32f("enemy_stx")?,
-            stalled: boolf("stalled")?,
-        },
-        "tx_stall" => TraceEvent::TxStall {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-        },
-        "tx_suspend" => TraceEvent::TxSuspend {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            target_thread: u32f("target_thread")?,
-            target_stx: u32f("target_stx")?,
-            yielding: boolf("yielding")?,
-        },
-        "tx_abort" => TraceEvent::TxAbort {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            undo_lines: u32f("undo_lines")?,
-        },
-        "tx_commit" => TraceEvent::TxCommit {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            retries: u32f("retries")?,
-            rw_lines: u32f("rw_lines")?,
-        },
-        "sched_decision" => TraceEvent::SchedDecision {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            kind: DecisionKind::from_label(v.get("kind")?.as_str()?)?,
-            target_thread: u32f("target_thread")?,
-            target_stx: u32f("target_stx")?,
-            cost: u64f("cost")?,
-        },
-        "conf_update" => TraceEvent::ConfUpdate {
-            kind: ConfKind::from_label(v.get("kind")?.as_str()?)?,
-            a_stx: u32f("a_stx")?,
-            b_stx: u32f("b_stx")?,
-            sim_a_bits: u64f("sim_a_bits")?,
-            sim_b_bits: u64f("sim_b_bits")?,
-            param_bits: u64f("param_bits")?,
-            applied_bits: u64f("applied_bits")?,
-        },
-        "bloom_sample" => TraceEvent::BloomSample {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            raw_bits: u64f("raw_bits")?,
-            clamped_bits: u64f("clamped_bits")?,
-        },
-        "shard_touch" => TraceEvent::ShardTouch {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            shard: u32f("shard")?,
-        },
-        "cross_shard_commit" => TraceEvent::CrossShardCommit {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            shards: u32f("shards")?,
-            cost: u64f("cost")?,
-        },
-        "fault_bloom_corrupt" => TraceEvent::FaultBloomCorrupt {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            bits: u32f("bits")?,
-        },
-        "false_positive_conflict" => TraceEvent::FalsePositiveConflict {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            enemy_thread: u32f("enemy_thread")?,
-            enemy_stx: u32f("enemy_stx")?,
-            true_conflicts: u32f("true_conflicts")?,
-        },
-        "capacity_abort" => TraceEvent::CapacityAbort {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            tracked: u32f("tracked")?,
-            capacity: u32f("capacity")?,
-        },
-        "fault_conf_poison" => TraceEvent::FaultConfPoison {
-            thread: u32f("thread")?,
-            saturate: boolf("saturate")?,
-            entries: u64f("entries")?,
-        },
-        "tx_arrival" => TraceEvent::TxArrival {
-            thread: u32f("thread")?,
-            stx: u32f("stx")?,
-            arrival: u64f("arrival")?,
-        },
-        "queue_depth" => TraceEvent::QueueDepth {
-            thread: u32f("thread")?,
-            depth: u64f("depth")?,
-        },
-        "window_advance" => TraceEvent::WindowAdvance {
-            thread: u32f("thread")?,
-            window: u64f("window")?,
-            priority: u64f("priority")?,
-        },
-        _ => return None,
-    };
+    let ev = TraceEvent::from_fields(name, |key, kind| {
+        let field = v.get(key)?;
+        Some(match kind {
+            FieldKind::U32 => FieldValue::U32(field.as_u64()?.try_into().ok()?),
+            FieldKind::U64 => FieldValue::U64(field.as_u64()?),
+            FieldKind::Bool => match field {
+                Json::Bool(b) => FieldValue::Bool(*b),
+                _ => return None,
+            },
+            FieldKind::Bucket => FieldValue::Bucket(BucketKind::from_label(field.as_str()?)?),
+            FieldKind::Decision => FieldValue::Decision(DecisionKind::from_label(field.as_str()?)?),
+            FieldKind::Conf => FieldValue::Conf(ConfKind::from_label(field.as_str()?)?),
+        })
+    })?;
     Some(TraceRec { seq, at, ev })
 }
 
@@ -1020,6 +715,42 @@ mod tests {
         (recording, inputs)
     }
 
+    /// The JSONL bytes of every variant, pinned: the encoder must
+    /// reproduce the committed file exactly.
+    #[test]
+    fn jsonl_bytes_of_every_variant_are_pinned() {
+        let (recording, inputs) = sample_recording();
+        let want = include_str!("../tests/fixtures/every_variant.jsonl");
+        assert_eq!(to_jsonl(&recording, &inputs), want);
+    }
+
+    #[test]
+    fn golden_trace_reserialises_byte_identically() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/golden/trace_perfect.jsonl"
+        );
+        let text = std::fs::read_to_string(path).expect("golden trace readable");
+        let (recording, inputs, scenario) = parse_jsonl_full(&text).unwrap();
+        assert!(scenario.is_some(), "the golden trace embeds its scenario");
+        assert!(
+            to_jsonl_with_scenario(&recording, &inputs, scenario.as_ref()) == text,
+            "re-serialised golden trace differs from the committed file"
+        );
+    }
+
+    /// A new vocabulary row cannot skip the pins above: the sample holds
+    /// exactly one event per canonical name.
+    #[test]
+    fn sample_recording_holds_one_event_per_name() {
+        let (recording, _) = sample_recording();
+        let mut got: Vec<&str> = recording.events.iter().map(|r| r.ev.name()).collect();
+        let mut want = TraceEvent::NAMES.to_vec();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn jsonl_round_trips_every_variant_exactly() {
         let (recording, inputs) = sample_recording();
@@ -1043,6 +774,15 @@ mod tests {
         assert!(parse_jsonl(&bad_version).is_err(), "future version");
         let bad_event = text.replace("\"ev\":\"tx_stall\"", "\"ev\":\"tx_mystery\"");
         assert!(parse_jsonl(&bad_event).is_err(), "unknown event name");
+        let wide = text.replace("\"stx\":2", "\"stx\":4294967296");
+        assert!(parse_jsonl(&wide).is_err(), "u32 field out of range");
+        let bad_label = text.replace("\"bucket\":\"tx\"", "\"bucket\":\"mystery\"");
+        assert!(parse_jsonl(&bad_label).is_err(), "unknown bucket label");
+        let missing = text.replace("\"stalled\":true,", "");
+        assert!(parse_jsonl(&missing).is_err(), "missing field");
+        // A huge declared count is a mismatch, not an allocation.
+        let huge = text.replace("\"events\":21", "\"events\":4000000000000000");
+        assert!(parse_jsonl(&huge).is_err(), "huge declared event count");
     }
 
     #[test]

@@ -2,20 +2,27 @@
 //! transaction begin, so filters at the paper's evaluated sizes (≤ 2048
 //! bits) must not touch the heap — neither on construction nor in the
 //! signature algebra (union, intersects, intersection_estimate).
+//!
+//! The tests run on parallel threads, so each thread counts only its own
+//! allocations.
 
 use bfgts_bloomsig::BloomFilter;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 struct CountingAlloc;
 
 // SAFETY: delegates every operation to the system allocator unchanged;
-// the counter is a relaxed atomic side effect.
+// the counter is a thread-local side effect.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -29,9 +36,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Runs `f` and returns how many heap allocations it performed.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let result = f();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = ALLOCATIONS.with(Cell::get);
     drop(result);
     after - before
 }

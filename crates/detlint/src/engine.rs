@@ -15,13 +15,13 @@
 
 use crate::itemtree::ItemTree;
 use crate::lexer::{lex, Comment, Lexed};
-use crate::rules::{is_waivable, run_rules, RawDiag, ScanCtx, Severity};
+use crate::rules::{is_waivable, run_rules, ScanCtx, Severity};
 use bfgts_bench::json::Json;
 
 /// A finished diagnostic, ready to render.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule code (`D001`.., `P001`.., `A001`, `T001`.., `W001`/`W002`
+    /// Rule code (`D001`.., `P001`.., `A001`, `W001`/`W002`
     /// for waiver problems, `E001` for files the lexer cannot read).
     pub code: String,
     /// Hot-path/contract error or advisory warning. Both fail the
@@ -134,13 +134,9 @@ fn next_code_line(lexed: &Lexed, comment_line: u32) -> u32 {
 
 /// Scans one file's source text.
 ///
-/// `file` is used verbatim in diagnostics. `extra` carries raw
-/// diagnostics produced outside the per-file rules — the cross-file
-/// trace-contract pass (T-rules) anchors its findings at enum-variant
-/// lines in `event.rs` and routes them through here so waivers and
-/// W002 accounting treat every family identically. Fixture tests and
+/// `file` is used verbatim in diagnostics. Fixture tests and
 /// `--self-test` call this directly.
-pub fn scan_source(file: &str, src: &str, ctx: &ScanCtx, extra: &[RawDiag]) -> FileReport {
+pub fn scan_source(file: &str, src: &str, ctx: &ScanCtx) -> FileReport {
     let lexed = match lex(src) {
         Ok(l) => l,
         Err((line, msg)) => {
@@ -186,9 +182,7 @@ pub fn scan_source(file: &str, src: &str, ctx: &ScanCtx, extra: &[RawDiag]) -> F
     }
 
     let tree = ItemTree::build(&lexed.tokens);
-    let mut raws = run_rules(&lexed.tokens, &tree, ctx);
-    raws.extend(extra.iter().cloned());
-    for raw in raws {
+    for raw in run_rules(&lexed.tokens, &tree, ctx) {
         let waiver = waivers
             .iter_mut()
             .find(|w| w.target_line == raw.line && w.codes.iter().any(|c| c == raw.code));
@@ -293,7 +287,7 @@ mod tests {
     }
 
     fn scan(src: &str) -> FileReport {
-        scan_source("t.rs", src, &ctx(), &[])
+        scan_source("t.rs", src, &ctx())
     }
 
     fn codes(r: &FileReport) -> Vec<&str> {
@@ -358,45 +352,16 @@ mod tests {
     fn unused_waiver_is_an_error_in_workspace_mode() {
         let mut c = ctx();
         c.workspace = true;
-        let r = scan_source(
-            "t.rs",
-            "// detlint: allow(D002) -- stale\nfn f() {}\n",
-            &c,
-            &[],
-        );
+        let r = scan_source("t.rs", "// detlint: allow(D002) -- stale\nfn f() {}\n", &c);
         assert_eq!(codes(&r), vec!["W002"]);
         assert_eq!(r.diags[0].severity, Severity::Error);
     }
 
     #[test]
     fn new_rule_codes_are_waivable() {
-        let r = scan("fn f() {} // detlint: allow(P001,A001,T001) -- exercising the parser\n");
+        let r = scan("fn f() {} // detlint: allow(P001,A001) -- exercising the parser\n");
         // Parsed fine; unused (no matching diag), so exactly one W002.
         assert_eq!(codes(&r), vec!["W002"]);
-    }
-
-    #[test]
-    fn extra_raw_diags_respect_waivers() {
-        let extra = [RawDiag {
-            code: "T001",
-            severity: Severity::Error,
-            line: 2,
-            col: 5,
-            message: "variant `TxBegin` unhandled".into(),
-            hint: "",
-        }];
-        let src = "fn f() {}\nfn g() {}\n";
-        let r = scan_source("event.rs", src, &ctx(), &extra);
-        assert_eq!(codes(&r), vec!["T001"]);
-
-        let waived = "fn f() {}\n// detlint: allow(T001) -- audited elsewhere\nfn g() {}\n";
-        let extra2 = [RawDiag {
-            line: 3,
-            ..extra[0].clone()
-        }];
-        let r2 = scan_source("event.rs", waived, &ctx(), &extra2);
-        assert!(r2.diags.is_empty(), "{:?}", r2.diags);
-        assert_eq!(r2.waived, 1);
     }
 
     #[test]

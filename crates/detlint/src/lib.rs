@@ -8,10 +8,10 @@
 //! on an unexplained `unwrap`. The classic way those properties rot is
 //! innocuous-looking code — a `HashMap` iterated in a
 //! conflict-resolution path, a bare `+` on a u64 cycle counter that
-//! silently wraps in release, a new trace event kind the replay audit
-//! never learns about. This crate catches those classes at lint time.
+//! silently wraps in release. This crate catches those classes at lint
+//! time.
 //!
-//! Four rule families run over the workspace:
+//! Three rule families run over the workspace:
 //!
 //! - **D (determinism, D001–D005):** hash-ordered collections,
 //!   wall-clock reads, float-over-hash-order accumulation, hash
@@ -22,14 +22,15 @@
 //! - **A (cycle arithmetic, A001):** bare `+`/`-`/`*` on
 //!   cycle-flavoured values in the accounting crates must be
 //!   `checked_*`/`saturating_*`/`wrapping_*` or waived.
-//! - **T (trace contract, T001–T002):** every `TraceEvent` variant must
-//!   be matched by the replay audit and handled by the JSONL exporter.
+//!
+//! The trace-event vocabulary needs no lint: it is declared once in
+//! `bfgts-trace`, and the compiler holds the audit's match exhaustive
+//! (DESIGN.md §8).
 //!
 //! The tool is std-only (the build must survive an offline registry, so
 //! no `syn`): a small Rust lexer ([`lexer`]), a brace-matched item tree
 //! ([`itemtree`]), per-file rules over the token stream ([`rules`]),
-//! the cross-file trace-contract pass ([`contract`]), waiver handling
-//! and output formats ([`engine`], [`sarif`]), workspace discovery
+//! waiver handling and output formats ([`engine`], [`sarif`]), workspace discovery
 //! ([`workspace`]) and a fixture-driven self-test ([`selftest`]). See
 //! DESIGN.md §7 for the policy the rules encode, and README.md for
 //! waiver etiquette.
@@ -37,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod contract;
 pub mod engine;
 pub mod itemtree;
 pub mod lexer;

@@ -11,9 +11,8 @@
 //! Exit codes: `0` clean, `1` diagnostics found (or self-test failure),
 //! `2` usage or I/O error.
 
-use detlint::contract;
 use detlint::engine::{json_report, scan_source, Diagnostic};
-use detlint::rules::{RawDiag, ScanCtx, Severity, RULES};
+use detlint::rules::{ScanCtx, RULES};
 use detlint::sarif::sarif_report;
 use detlint::workspace::{classify, collect_files, find_root, is_test_path};
 use detlint::{selftest, workspace};
@@ -21,7 +20,7 @@ use std::path::PathBuf;
 
 const USAGE: &str = "\
 detlint — static analysis for the BFGTS workspace
-(determinism, panic-safety, cycle-arithmetic, trace-contract rules)
+(determinism, panic-safety, cycle-arithmetic rules)
 
 USAGE:
     detlint [--workspace | PATH...] [--json PATH] [--sarif PATH] [--quiet]
@@ -29,9 +28,8 @@ USAGE:
     detlint --list-rules
 
 OPTIONS:
-    --workspace    lint every .rs file of the enclosing cargo workspace;
-                   also runs the cross-file trace-contract pass (T-rules)
-                   and promotes unused waivers (W002) to errors
+    --workspace    lint every .rs file of the enclosing cargo workspace
+                   and promote unused waivers (W002) to errors
     --json PATH    also write a machine-readable report (use `-` for stdout)
     --sarif PATH   also write a SARIF 2.1.0 report for CI code scanning
     --quiet        print only the summary line
@@ -159,38 +157,6 @@ fn run() -> i32 {
     let mut waived = 0u32;
     let mut scanned = 0usize;
 
-    // The trace-contract pass (T-rules) reads three files at once, so
-    // it runs once up front in workspace mode; its findings are
-    // anchored at variant declarations in event.rs and injected into
-    // that file's scan so waivers and W002 accounting apply normally.
-    let mut contract_extras: Vec<RawDiag> = Vec::new();
-    if args.workspace {
-        let read = |rel: &str| std::fs::read_to_string(root.join(rel));
-        let sources = (
-            read(contract::EVENT_PATH),
-            read(contract::AUDIT_PATH),
-            read(contract::EXPORT_PATH),
-        );
-        let outcome = match sources {
-            (Ok(ev), Ok(au), Ok(ex)) => contract::check_sources(&ev, &au, &ex),
-            (Err(e), _, _) => Err(format!("cannot read {}: {e}", contract::EVENT_PATH)),
-            (_, Err(e), _) => Err(format!("cannot read {}: {e}", contract::AUDIT_PATH)),
-            (_, _, Err(e)) => Err(format!("cannot read {}: {e}", contract::EXPORT_PATH)),
-        };
-        match outcome {
-            Ok(raws) => contract_extras = raws,
-            Err(msg) => diags.push(Diagnostic {
-                code: "T001".into(),
-                severity: Severity::Error,
-                file: contract::EVENT_PATH.into(),
-                line: 0,
-                col: 0,
-                message: format!("trace contract check failed: {msg}"),
-                hint: "the T-rules need a parseable `enum TraceEvent`, audit and exporter".into(),
-            }),
-        }
-    }
-
     for file in &files {
         // Diagnostics use workspace-relative paths so output is stable
         // regardless of where the tool was invoked from.
@@ -220,12 +186,7 @@ fn run() -> i32 {
             workspace: args.workspace,
             test_file: is_test_path(&display),
         };
-        let extra: &[RawDiag] = if args.workspace && display == contract::EVENT_PATH {
-            &contract_extras
-        } else {
-            &[]
-        };
-        let report = scan_source(&display, &src, &ctx, extra);
+        let report = scan_source(&display, &src, &ctx);
         scanned += 1;
         waived += report.waived;
         diags.extend(report.diags);

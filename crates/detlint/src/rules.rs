@@ -1,6 +1,5 @@
 //! The rule families: determinism (D), panic-safety (P) and cycle
-//! arithmetic (A). The cross-file trace-contract family (T) lives in
-//! [`crate::contract`] because it reads three files at once.
+//! arithmetic (A).
 //!
 //! Each rule walks the token stream of one file and produces raw
 //! diagnostics; waiver handling, sorting and rendering live in
@@ -115,14 +114,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "A001",
         "bare +/-/* on a cycle-flavoured value; u64 overflow wraps silently in release",
-    ),
-    (
-        "T001",
-        "TraceEvent variant not matched by the replay audit (trace/src/audit.rs)",
-    ),
-    (
-        "T002",
-        "TraceEvent variant not handled by the JSONL exporter (bench/src/trace_export.rs)",
     ),
 ];
 

@@ -13,14 +13,7 @@
 //!   fixtures opt in this way).
 //! - `detlint-fixture-mode: workspace` — scan with workspace-mode
 //!   semantics (W002 promoted to an error).
-//!
-//! Trace-contract (T-rule) fixtures are three-file trios under
-//! `fixtures/tcontract/<case>/{event.rs,audit.rs,trace_export.rs}`,
-//! checked with [`crate::contract::check_sources`] and rendered
-//! through the same waiver-aware engine; goldens live at
-//! `fixtures/expected/tcontract_<case>.txt`.
 
-use crate::contract;
 use crate::engine::scan_source;
 use crate::rules::{CrateClass, ScanCtx};
 use std::fmt::Write as _;
@@ -92,7 +85,7 @@ pub fn run(fixture_dir: &Path) -> std::io::Result<SelfTest> {
             workspace: src.contains(WORKSPACE_DIRECTIVE),
             test_file: false,
         };
-        let report = scan_source(&name, &src, &ctx, &[]);
+        let report = scan_source(&name, &src, &ctx);
         let mut got = String::new();
         for d in &report.diags {
             writeln!(got, "{}", d.render()).unwrap();
@@ -100,48 +93,6 @@ pub fn run(fixture_dir: &Path) -> std::io::Result<SelfTest> {
         check_golden(fixture_dir, stem, &name, &got, &mut result);
     }
 
-    // Trace-contract trios.
-    let tdir = fixture_dir.join("tcontract");
-    if tdir.is_dir() {
-        let mut cases: Vec<_> = std::fs::read_dir(&tdir)?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect();
-        cases.sort();
-        for case in cases {
-            let case_name = case
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or("<case>")
-                .to_string();
-            let event = std::fs::read_to_string(case.join("event.rs"))?;
-            let audit = std::fs::read_to_string(case.join("audit.rs"))?;
-            let export = std::fs::read_to_string(case.join("trace_export.rs"))?;
-            let got = match contract::check_sources(&event, &audit, &export) {
-                Ok(raws) => {
-                    let ctx = ScanCtx {
-                        class: CrateClass::Critical,
-                        crate_name: "trace",
-                        workspace: true,
-                        test_file: false,
-                    };
-                    let file = format!("tcontract/{case_name}/event.rs");
-                    let report = scan_source(&file, &event, &ctx, &raws);
-                    let mut s = String::new();
-                    for d in &report.diags {
-                        writeln!(s, "{}", d.render()).unwrap();
-                    }
-                    s
-                }
-                Err(msg) => format!("contract error: {msg}\n"),
-            };
-            let stem = format!("tcontract_{case_name}");
-            let display = format!("tcontract/{case_name}");
-            check_golden(fixture_dir, &stem, &display, &got, &mut result);
-        }
-    }
     Ok(result)
 }
 

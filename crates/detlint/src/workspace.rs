@@ -39,16 +39,18 @@ pub fn is_test_path(rel_path: &str) -> bool {
     rel_path.split('/').any(|seg| seg == "tests")
 }
 
+/// True if `dir` holds a `Cargo.toml` declaring `[workspace]`.
+fn is_workspace_root(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| text.contains("[workspace]"))
+}
+
 /// Finds the workspace root by walking up from `start` until a
 /// `Cargo.toml` declaring `[workspace]` appears.
 pub fn find_root(start: &Path) -> Option<PathBuf> {
     let mut dir = start.to_path_buf();
     loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
+        if is_workspace_root(&dir) {
+            return Some(dir);
         }
         if !dir.pop() {
             return None;
@@ -58,6 +60,8 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
 
 /// Collects every lintable `.rs` file under `root`, workspace-relative,
 /// sorted (deterministic output is rather the point of this tool).
+/// A subdirectory that declares a workspace of its own is not part of
+/// this one and is skipped.
 pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     walk(root, root, &mut files)?;
@@ -82,7 +86,11 @@ fn walk(root: &Path, dir: &Path, files: &mut Vec<PathBuf>) -> std::io::Result<()
             .to_string_lossy()
             .replace('\\', "/");
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name) || name.starts_with('.') || rel == FIXTURE_DIR {
+            if SKIP_DIRS.contains(&name)
+                || name.starts_with('.')
+                || rel == FIXTURE_DIR
+                || is_workspace_root(&path)
+            {
                 continue;
             }
             walk(root, &path, files)?;
@@ -143,6 +151,8 @@ mod tests {
         assert!(!files
             .iter()
             .any(|f| f.to_string_lossy().contains("detlint/fixtures")));
+        // `perfbench/` declares a workspace of its own.
+        assert!(!files.iter().any(|f| f.starts_with("perfbench")));
         let mut sorted = files.clone();
         sorted.sort();
         assert_eq!(files, sorted, "walk output must be sorted");

@@ -32,8 +32,7 @@ fn fixture_corpus_covers_every_rule() {
         }
     }
     for code in [
-        "D001", "D002", "D003", "D004", "D005", "P001", "P002", "P003", "A001", "T001", "T002",
-        "W001", "W002",
+        "D001", "D002", "D003", "D004", "D005", "P001", "P002", "P003", "A001", "W001", "W002",
     ] {
         assert!(
             goldens.contains(&format!("[{code}:")),

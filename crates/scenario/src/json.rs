@@ -13,6 +13,12 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let a document
+/// of nothing but `[` overflow the stack; every document the stack
+/// writes nests fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -116,7 +122,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -167,8 +173,15 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` enclosing arrays
+/// and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -184,7 +197,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -209,7 +222,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                map.insert(key, parse_value(bytes, pos)?);
+                map.insert(key, parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -355,6 +368,19 @@ mod tests {
         for text in ["{", "[1,", "\"abc", "tru", "{\"a\" 1}", "1 2"] {
             assert!(Json::parse(text).is_err(), "{text} parsed");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // Far past the limit the parser still returns instead of
+        // overflowing the stack.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -260,6 +260,14 @@ pub fn audit(
                 Some(t)
             }
         };
+        // Every event kind gets an explicit arm: a new vocabulary row
+        // fails to compile until the audit covers it, and clippy rejects
+        // a `_` arm that would cover it silently (a wildcard standing
+        // for one variant is a separate lint).
+        #[deny(
+            clippy::wildcard_enum_match_arm,
+            clippy::match_wildcard_for_single_variants
+        )]
         match rec.ev {
             TraceEvent::Charge {
                 cpu,
