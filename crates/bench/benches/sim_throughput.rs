@@ -2,7 +2,9 @@
 //! under representative managers. This is the cost of one experiment
 //! grid cell.
 
-use bfgts_bench::{run_one, ManagerKind, Platform};
+use bfgts_bench::runner::RunCell;
+use bfgts_bench::{ManagerKind, Platform};
+use bfgts_sim::TraceMode;
 use bfgts_testkit::bench::Harness;
 use bfgts_workloads::presets;
 use std::hint::black_box;
@@ -17,8 +19,9 @@ fn main() {
         ("Intruder", ManagerKind::BfgtsHw),
     ] {
         let spec = presets::by_name(bench).expect("preset exists").scaled(0.05);
+        let cell = RunCell::one(&spec, kind, platform);
         h.bench(&format!("workload_run/{bench}/{}", kind.label()), || {
-            black_box(run_one(black_box(&spec), kind, platform));
+            black_box(black_box(&cell).execute_report(TraceMode::Off));
         });
     }
     h.finish();

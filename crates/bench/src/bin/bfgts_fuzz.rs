@@ -6,7 +6,7 @@
 //!
 //! Runs one cell per seed in the range: an adversarial workload, a BFGTS
 //! flavour and a randomized fault plan, all derived from the seed. Every
-//! cell is audited through the accounting invariants I1–I7 and checked
+//! cell is audited through the accounting invariants I1–I11 and checked
 //! against the graceful-degradation bound versus Backoff. Violating
 //! cells are auto-minimized and written as replayable repro JSON;
 //! `--repro PATH` re-executes such a file and verifies both that the
@@ -133,8 +133,9 @@ fn replay(path: &std::path::Path) -> ExitCode {
 }
 
 fn seeded_violation(out: &std::path::Path) -> ExitCode {
-    let (cfg, workload, plan) = fuzz::violating_control();
-    let report = fuzz::run_cell(&cfg, &workload, &plan);
+    let cell = fuzz::violating_control();
+    let report = fuzz::run_cell(&cell.scenario, cell.min_fraction_pct)
+        .expect("the control is an executable BFGTS run");
     if report.passed() {
         // Exit 0 here: CI inverts this command's status, so a missed
         // control comes out as a red job.
@@ -148,9 +149,8 @@ fn seeded_violation(out: &std::path::Path) -> ExitCode {
     for v in &report.violations {
         println!("  {v}");
     }
-    let minimized = fuzz::minimize_failure(&cfg, &workload, &plan);
-    let scored = fuzz::run_cell(&cfg, &workload, &minimized);
-    let repro = fuzz::make_repro(cfg.run_seed, &cfg, &workload, &minimized, scored.violations);
+    let minimized = fuzz::minimize_failure(&cell);
+    let repro = fuzz::make_repro(&cell, &minimized);
     match fuzz::write_repro(out, &repro) {
         Ok(path) => println!(
             "minimized to {} fault(s); repro written to {}",
@@ -174,23 +174,19 @@ fn campaign(seeds: (u64, u64), jobs: usize, out: &std::path::Path) -> ExitCode {
     );
     let results = fuzz::run_campaign(&seed_list, jobs);
     let mut failures = Vec::new();
-    for result in &results {
-        let status = if result.report.passed() {
-            "pass"
-        } else {
-            "FAIL"
-        };
+    for (cell, report) in &results {
+        let status = if report.passed() { "pass" } else { "FAIL" };
         println!(
             "  seed {:>4}  {:<20} {:<11} {} faults  bfgts {:>9}c  backoff {:>9}c  {status}",
-            result.seed,
-            result.workload,
-            result.bfgts,
-            result.plan.faults.len(),
-            result.report.bfgts_makespan,
-            result.report.backoff_makespan,
+            cell.seed,
+            cell.scenario.workload.name(),
+            cell.bfgts_key,
+            cell.plan.faults.len(),
+            report.bfgts_makespan,
+            report.backoff_makespan,
         );
-        if !result.report.passed() {
-            failures.push(result);
+        if !report.passed() {
+            failures.push((cell, report));
         }
     }
     if failures.is_empty() {
@@ -200,31 +196,23 @@ fn campaign(seeds: (u64, u64), jobs: usize, out: &std::path::Path) -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    for result in &failures {
-        for v in &result.report.violations {
-            println!("seed {}: {v}", result.seed);
+    for (cell, report) in &failures {
+        for v in &report.violations {
+            println!("seed {}: {v}", cell.seed);
         }
-        let cell = fuzz::campaign_cell(result.seed);
-        let minimized = fuzz::minimize_failure(&cell.cfg, &cell.workload, &result.plan);
-        let scored = fuzz::run_cell(&cell.cfg, &cell.workload, &minimized);
-        let repro = fuzz::make_repro(
-            result.seed,
-            &cell.cfg,
-            &cell.workload,
-            &minimized,
-            scored.violations,
-        );
+        let minimized = fuzz::minimize_failure(cell);
+        let repro = fuzz::make_repro(cell, &minimized);
         match fuzz::write_repro(out, &repro) {
             Ok(path) => println!(
                 "seed {}: minimized {} -> {} fault(s); repro written to {}",
-                result.seed,
-                result.plan.faults.len(),
+                cell.seed,
+                cell.plan.faults.len(),
                 minimized.faults.len(),
                 path.display()
             ),
             Err(err) => eprintln!(
                 "warning: could not write repro for seed {}: {err}",
-                result.seed
+                cell.seed
             ),
         }
     }

@@ -2,9 +2,10 @@
 //! and figures.
 //!
 //! Every binary in `src/bin/` drives the same pipeline: pick a benchmark
-//! preset, pick a [`ManagerKind`], run it on the paper platform (16
-//! CPUs, 64 threads) with [`run_one`], and compare against the 1-thread
-//! serial baseline with [`speedup`]. See `DESIGN.md` §4 for the
+//! preset, pick a [`ManagerKind`], describe the run on the paper
+//! platform (16 CPUs, 64 threads) as a [`runner::RunCell`], run the grid
+//! with [`runner::run_grid`], and compare against the 1-thread serial
+//! baseline ([`runner::RunCell::serial`]). See `DESIGN.md` §4 for the
 //! experiment-to-binary index.
 //!
 //! The run descriptions themselves — [`Platform`], [`ManagerKind`], the
@@ -25,38 +26,6 @@ pub use bfgts_scenario::{
     BfgtsTunables, ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec,
 };
 
-use bfgts_baselines::BackoffCm;
-use bfgts_htm::{run_workload, TmRunConfig, TmRunReport};
-use bfgts_workloads::BenchmarkSpec;
-
-/// Runs `spec` under `kind` on `platform` with the benchmark's optimal
-/// Bloom filter size.
-pub fn run_one(spec: &BenchmarkSpec, kind: ManagerKind, platform: Platform) -> TmRunReport {
-    run_one_with_bloom(spec, kind, platform, kind.optimal_bloom_bits(spec.name))
-}
-
-/// Runs `spec` under `kind` with an explicit Bloom filter size (the
-/// Figure 6 sweep).
-pub fn run_one_with_bloom(
-    spec: &BenchmarkSpec,
-    kind: ManagerKind,
-    platform: Platform,
-    bloom_bits: u32,
-) -> TmRunReport {
-    let cfg = TmRunConfig::new(platform.cpus, platform.threads).seed(platform.seed);
-    run_workload(&cfg, spec.sources(platform.threads), kind.build(bloom_bits))
-}
-
-/// Runs the serial baseline: the same total work on one CPU with one
-/// thread (no conflicts are possible, so the manager choice is
-/// irrelevant; Backoff adds zero overhead without contention). Returns
-/// the serial makespan in cycles.
-pub fn serial_baseline(spec: &BenchmarkSpec, seed: u64) -> u64 {
-    let cfg = TmRunConfig::new(1, 1).seed(seed);
-    let report = run_workload(&cfg, spec.sources(1), Box::new(BackoffCm::default()));
-    report.sim.makespan.as_u64()
-}
-
 /// Runs `f` and returns its result plus the elapsed wall-clock in
 /// milliseconds. The one sanctioned wall-clock read in this crate,
 /// shared by every benchmark binary (`bfgts_run --bench-json`,
@@ -67,16 +36,6 @@ pub fn timed_ms<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let started = std::time::Instant::now();
     let out = f();
     (out, started.elapsed().as_millis() as u64)
-}
-
-/// Speedup of a parallel run over the serial baseline.
-pub fn speedup(parallel: &TmRunReport, serial_makespan: u64) -> f64 {
-    let span = parallel.sim.makespan.as_u64();
-    if span == 0 {
-        0.0
-    } else {
-        serial_makespan as f64 / span as f64
-    }
 }
 
 /// Geometric-mean helper for "AVG" columns (the paper averages speedups
@@ -266,6 +225,7 @@ pub fn parse_common_args() -> CommonArgs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bfgts_sim::TraceMode;
     use bfgts_workloads::presets;
 
     #[test]
@@ -294,9 +254,19 @@ mod tests {
     }
 
     #[test]
-    fn serial_baseline_is_deterministic() {
+    fn serial_cells_are_deterministic() {
         let spec = presets::ssca2().scaled(0.02);
-        assert_eq!(serial_baseline(&spec, 1), serial_baseline(&spec, 1));
+        let platform = Platform {
+            seed: 1,
+            ..Platform::small()
+        };
+        let makespan = || {
+            runner::RunCell::serial(&spec, platform)
+                .execute_report(TraceMode::Off)
+                .sim
+                .makespan
+        };
+        assert_eq!(makespan(), makespan());
     }
 
     #[test]
@@ -370,7 +340,8 @@ mod tests {
     #[test]
     fn quick_run_completes_on_small_platform() {
         let spec = presets::kmeans().scaled(0.02);
-        let report = run_one(&spec, ManagerKind::Backoff, Platform::small());
+        let report = runner::RunCell::one(&spec, ManagerKind::Backoff, Platform::small())
+            .execute_report(TraceMode::Off);
         assert!(report.stats.commits() > 0);
     }
 }

@@ -24,9 +24,9 @@
 //! Since cache version 2 a cell *is* a [`Scenario`] (DESIGN.md §10): the
 //! cache key is the scenario's content hash, `--emit` dumps any grid as
 //! a scenario file, and `bfgts_run` executes such files through this
-//! same runner. Closure-built custom cells are the one exception — their
-//! configuration lives outside the scenario, so they are memoised within
-//! a grid but never persisted to disk.
+//! same runner. [`RunCell::execute_report`] is the program's one
+//! lowering of a scenario into an engine configuration plus a manager;
+//! the fuzz campaign runs its cells through it too.
 //!
 //! Floating-point statistics are cached as `u64` bit patterns, so a
 //! cache hit reproduces the fresh run's output byte for byte.
@@ -43,7 +43,7 @@ use bfgts_workloads::{open_sources, ArrivalSpec, BenchmarkSpec};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 pub use bfgts_scenario::CostKind;
 
@@ -53,18 +53,13 @@ pub use bfgts_scenario::CostKind;
 /// open-system latency digest to the summary layout.
 pub const CACHE_VERSION: u64 = 3;
 
-/// One cell of an experiment grid: a [`Scenario`] plus, for the one
-/// escape hatch the scenario cannot express, a closure building an
-/// arbitrary contention manager.
-#[derive(Clone)]
+/// One cell of an experiment grid: a [`Scenario`] the runner caches,
+/// emits and executes.
+#[derive(Debug, Clone)]
 pub struct RunCell {
     /// The complete, canonicalised run description. Its content hash is
     /// the cell's cache identity.
     pub scenario: Scenario,
-    /// Set only by [`RunCell::custom`]: builds the manager the scenario
-    /// describes opaquely as [`ManagerSpec::Custom`]. Such cells are
-    /// never persisted to the disk cache.
-    custom_build: Option<Arc<dyn Fn() -> Box<dyn ContentionManager> + Send + Sync>>,
 }
 
 impl RunCell {
@@ -103,37 +98,6 @@ impl RunCell {
         Self {
             scenario: Scenario::new(WorkloadSpec::from_benchmark(spec), manager, platform)
                 .canonical(),
-            custom_build: None,
-        }
-    }
-
-    /// A cell running `spec` under a closure-built manager. `tag` should
-    /// describe the configuration for humans; because the closure's
-    /// actual configuration is invisible to the scenario, the cell is
-    /// executed fresh every grid and never persisted to the disk cache
-    /// (a cached summary keyed only on the tag could silently go stale
-    /// when the builder changes).
-    ///
-    /// **Test support only.** Every production configuration is
-    /// expressible as a structured [`ManagerSpec`] and must go through
-    /// [`RunCell::with_manager`] so its scenarios cache, emit and replay;
-    /// no binary in `src/bin/` constructs custom cells (pinned by
-    /// `roster_constructors_emit_cacheable_scenarios`). This remains
-    /// `pub` solely for the cache-exclusion integration tests.
-    pub fn custom(
-        spec: &BenchmarkSpec,
-        platform: Platform,
-        tag: impl Into<String>,
-        build: impl Fn() -> Box<dyn ContentionManager> + Send + Sync + 'static,
-    ) -> Self {
-        Self {
-            scenario: Scenario::new(
-                WorkloadSpec::from_benchmark(spec),
-                ManagerSpec::Custom { tag: tag.into() },
-                platform,
-            )
-            .canonical(),
-            custom_build: Some(Arc::new(build)),
         }
     }
 
@@ -149,15 +113,13 @@ impl RunCell {
     pub fn from_scenario(scenario: Scenario) -> Result<Self, String> {
         if !scenario.manager.executable() {
             return Err(
-                "scenario describes a closure-built custom manager; it cannot be rebuilt \
-                 from data"
+                "scenario describes an opaque custom manager; it cannot be rebuilt from data"
                     .to_string(),
             );
         }
         scenario.workload.resolve()?;
         Ok(Self {
             scenario: scenario.canonical(),
-            custom_build: None,
         })
     }
 
@@ -183,9 +145,10 @@ impl RunCell {
     }
 
     /// Whether this cell's summary may be persisted to (and served from)
-    /// the on-disk cache. False only for closure-built custom cells.
+    /// the on-disk cache. False only for an opaque
+    /// [`ManagerSpec::Custom`] manager, whose tag does not pin what ran.
     pub fn cacheable(&self) -> bool {
-        self.custom_build.is_none() && self.scenario.manager.cacheable()
+        self.scenario.manager.cacheable()
     }
 
     /// The canonical cache key: the scenario's content hash under the
@@ -240,16 +203,10 @@ impl RunCell {
                 }
             }
         }
-        let cm_faults = plan.and_then(|p| p.cm_faults());
-        let cm = match &self.custom_build {
-            // Custom builders carry their own configuration; they still
-            // feel the cost perturbation above.
-            Some(build) => build(),
-            None => scenario
-                .manager
-                .build(resolved.name(), cm_faults)
-                .expect("non-custom managers build from data"),
-        };
+        let cm = scenario
+            .manager
+            .build(resolved.name(), plan.and_then(|p| p.cm_faults()))
+            .expect("cell managers build from data (from_scenario refuses custom ones)");
         let threads = scenario.platform.threads;
         dispatch_sources(
             &cfg,
@@ -623,10 +580,8 @@ pub fn run_grid(cells: &[RunCell], opts: &RunnerOptions) -> Vec<CellSummary> {
     let run_one_cell = |slot: usize| {
         let cell = &cells[slot];
         let key = &keys[slot];
-        // Closure-built custom cells are memoised within the grid (by
-        // tag) but never persisted: their tag is not tied to the
-        // closure's actual configuration, so a disk hit could silently
-        // serve a stale summary after the builder changes.
+        // An opaque custom manager never reaches the disk: its tag does
+        // not pin what ran, so a disk hit could serve a stale summary.
         let disk = opts.cache_dir.as_deref().filter(|_| cell.cacheable());
         let cached = disk.and_then(|dir| load_cached(dir, key));
         let summary = match cached {
@@ -698,18 +653,11 @@ pub fn run_grid_with_args(cells: &[RunCell], args: &CommonArgs) -> Vec<CellSumma
     if let Some(path) = &args.emit {
         match emit_scenarios(path, cells) {
             Ok(()) => {
-                let opaque = cells.iter().filter(|c| !c.cacheable()).count();
                 eprintln!(
                     "emit: wrote {} scenario(s) to {}",
                     cells.len(),
                     path.display()
                 );
-                if opaque > 0 {
-                    eprintln!(
-                        "emit: note: {opaque} cell(s) use closure-built custom managers; \
-                         bfgts_run cannot execute those entries"
-                    );
-                }
                 std::process::exit(0);
             }
             Err(err) => {
@@ -987,7 +935,6 @@ mod tests {
             RunCell::one(&spec, ManagerKind::Backoff, p)
                 .stm()
                 .cache_key(),
-            RunCell::custom(&spec, p, "interval=10", || Box::new(BackoffCm::default())).cache_key(),
         ];
         let mut seeded = RunCell::one(&spec, ManagerKind::Backoff, p);
         seeded.scenario.platform.seed ^= 1;
@@ -999,8 +946,7 @@ mod tests {
     #[test]
     fn roster_constructors_emit_cacheable_scenarios() {
         // Every structured constructor a roster binary uses must produce
-        // cells that cache, emit and replay from data alone — the
-        // closure-built escape hatch is test support, nothing more.
+        // cells that cache, emit and replay from data alone.
         let spec = tiny_spec();
         let p = Platform::small();
         let mut cells = vec![
@@ -1120,42 +1066,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_cells_never_touch_the_disk_cache() {
-        let dir =
-            std::env::temp_dir().join(format!("bfgts-cache-test-custom-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = RunnerOptions {
-            jobs: 1,
-            cache_dir: Some(dir.clone()),
-        };
-        let spec = tiny_spec();
-        let cell = RunCell::custom(&spec, Platform::small(), "tag-a", || {
-            Box::new(BackoffCm::default())
-        });
-        assert!(!cell.cacheable());
-        let first = run_grid(std::slice::from_ref(&cell), &opts);
-        assert_eq!(
-            std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0),
-            0,
-            "closure-built cells must not be persisted"
-        );
-        // A stale entry planted under the cell's key is ignored: the tag
-        // does not pin the closure's configuration, so disk results
-        // cannot be trusted.
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut summary = first[0].clone();
-        summary.makespan ^= 1;
-        std::fs::write(
-            cache_path(&dir, &cell.cache_key()),
-            summary.to_json(&cell.cache_key()).to_string() + "\n",
-        )
-        .unwrap();
-        let second = run_grid(std::slice::from_ref(&cell), &opts);
-        assert_eq!(first, second, "planted cache entry was served");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn scenario_round_trip_preserves_key_and_summary() {
         let spec = tiny_spec();
         let cell = RunCell::one(&spec, ManagerKind::BfgtsHw, Platform::small());
@@ -1168,11 +1078,12 @@ mod tests {
 
     #[test]
     fn custom_scenarios_do_not_rebuild() {
-        let spec = tiny_spec();
-        let cell = RunCell::custom(&spec, Platform::small(), "mystery", || {
-            Box::new(BackoffCm::default())
-        });
-        assert!(RunCell::from_scenario(cell.scenario.clone()).is_err());
+        let mut scenario =
+            RunCell::one(&tiny_spec(), ManagerKind::Backoff, Platform::small()).scenario;
+        scenario.manager = ManagerSpec::Custom {
+            tag: "mystery".into(),
+        };
+        assert!(RunCell::from_scenario(scenario).is_err());
     }
 
     #[test]

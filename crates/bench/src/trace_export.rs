@@ -128,7 +128,15 @@ pub fn parse_jsonl_full(
             .ok_or_else(|| format!("line 1: header field '{key}' missing or malformed"))
     };
     let makespan = field("makespan")?;
-    let num_cpus = field("num_cpus")? as usize;
+    let num_cpus = field("num_cpus")?;
+    // The audit sizes per-CPU state from this count.
+    if num_cpus > bfgts_htm::MAX_CPUS as u64 {
+        return Err(format!(
+            "line 1: header declares {num_cpus} cpus, above the limit of {}",
+            bfgts_htm::MAX_CPUS
+        ));
+    }
+    let num_cpus = num_cpus as usize;
     let dropped = field("dropped")?;
     let declared = field("events")?;
     let per_thread: Vec<[u64; BucketKind::COUNT]> = header

@@ -1,9 +1,11 @@
 //! Hostile inputs at the binaries' trust boundaries: a document nested
-//! far past the JSON parser's depth limit must be reported as an error,
-//! never overflow the stack, and a server must go on serving after it.
+//! far past the JSON parser's depth limit, or declaring a platform far
+//! wider than any experiment runs, must be reported as an error — never
+//! overflow the stack or abort on allocation — and a server must go on
+//! serving after it.
 
 use bfgts_bench::trace_export::to_jsonl;
-use bfgts_scenario::{ManagerSpec, Platform, Scenario, WorkloadSpec};
+use bfgts_scenario::{ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec};
 use bfgts_trace::{AuditInputs, TraceRecording};
 use std::io::Write as _;
 use std::process::{Command, Stdio};
@@ -14,44 +16,108 @@ fn deep_line() -> String {
     "[".repeat(200_000)
 }
 
-#[test]
-fn trace_dump_reports_a_deeply_nested_line() {
-    let header = to_jsonl(
+fn empty_trace(num_cpus: usize) -> String {
+    to_jsonl(
         &TraceRecording {
             events: Vec::new(),
             dropped: 0,
         },
         &AuditInputs {
             makespan: 0,
-            num_cpus: 1,
+            num_cpus,
             per_thread: Vec::new(),
             window_seed: None,
         },
-    );
+    )
+}
+
+/// Runs `trace_dump FILE --audit` on `text`; returns (exit code, stderr).
+fn trace_dump_audit(tag: &str, text: &str) -> (Option<i32>, String) {
     let path =
-        std::env::temp_dir().join(format!("bfgts_hostile_{}_deep.jsonl", std::process::id()));
-    std::fs::write(&path, header + &deep_line() + "\n").expect("temp file writable");
+        std::env::temp_dir().join(format!("bfgts_hostile_{}_{tag}.jsonl", std::process::id()));
+    std::fs::write(&path, text).expect("temp file writable");
     let out = Command::new(env!("CARGO_BIN_EXE_trace_dump"))
         .arg(&path)
         .arg("--audit")
         .output()
         .expect("trace_dump runs");
     let _ = std::fs::remove_file(&path);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn trace_dump_reports_a_deeply_nested_line() {
+    let (code, stderr) = trace_dump_audit("deep", &(empty_trace(1) + &deep_line() + "\n"));
+    assert_eq!(code, Some(2), "stderr: {stderr}");
     assert!(stderr.contains("line 2: nesting deeper than"), "{stderr}");
 }
 
 #[test]
-fn bfgts_serve_reports_a_deeply_nested_document_and_serves_the_next() {
-    let scenario = Scenario::new(
+fn trace_dump_reports_a_huge_header_cpu_count() {
+    let (code, stderr) = trace_dump_audit("cpus", &empty_trace(9_000_000_000_000));
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("line 1: header declares 9000000000000 cpus"),
+        "{stderr}"
+    );
+}
+
+/// A valid small scenario stretched to `cpus` × `threads`.
+fn wide_scenario(cpus: usize, threads: usize) -> Scenario {
+    Scenario::new(
         WorkloadSpec::Preset {
             name: "Kmeans".into(),
             total_txs: 50,
         },
-        ManagerSpec::Serial,
-        Platform::small(),
-    );
+        ManagerSpec::Kind {
+            kind: ManagerKind::Backoff,
+            bloom_bits: None,
+        },
+        Platform {
+            cpus,
+            threads,
+            ..Platform::small()
+        },
+    )
+}
+
+#[test]
+fn bfgts_run_reports_a_huge_platform() {
+    for (tag, cpus, threads) in [
+        ("threads", 4, 9_000_000_000),
+        ("cpus", 4_000_000_000_000, 8),
+    ] {
+        let path = std::env::temp_dir().join(format!(
+            "bfgts_hostile_{}_{tag}.scenario.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, wide_scenario(cpus, threads).to_json().to_string())
+            .expect("temp file writable");
+        let out = Command::new(env!("CARGO_BIN_EXE_bfgts_run"))
+            .arg(&path)
+            .arg("--no-cache")
+            .output()
+            .expect("bfgts_run runs");
+        let _ = std::fs::remove_file(&path);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "platform of {cpus} cpus / {threads} threads exceeds the limit"
+            )),
+            "{stderr}"
+        );
+    }
+}
+
+/// Feeds `bad` then a valid scenario to `bfgts_serve --stdin`: the bad
+/// document fails the run (exit 1) with a report matching `expect`, and
+/// the valid one is still served.
+fn serve_after(bad: &str, expect: &str) {
+    let scenario = wide_scenario(4, 8);
     let mut child = Command::new(env!("CARGO_BIN_EXE_bfgts_serve"))
         .arg("--stdin")
         .stdin(Stdio::piped())
@@ -59,7 +125,7 @@ fn bfgts_serve_reports_a_deeply_nested_document_and_serves_the_next() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("bfgts_serve starts");
-    let input = format!("{}\n{}\n", deep_line(), scenario.to_json());
+    let input = format!("{bad}\n{}\n", scenario.to_json());
     child
         .stdin
         .take()
@@ -72,7 +138,7 @@ fn bfgts_serve_reports_a_deeply_nested_document_and_serves_the_next() {
     // The bad document fails the run (exit 1), but does not abort it.
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(
-        stderr.contains("error: stdin:1:") && stderr.contains("nesting deeper than"),
+        stderr.contains("error: stdin:1:") && stderr.contains(expect),
         "{stderr}"
     );
     assert!(stderr.contains("serve: stdin:2: 1 scenario(s)"), "{stderr}");
@@ -82,5 +148,18 @@ fn bfgts_serve_reports_a_deeply_nested_document_and_serves_the_next() {
             .lines()
             .any(|l| l.contains("\"kind\":\"summary\"") && l.contains(&summary)),
         "{stdout}"
+    );
+}
+
+#[test]
+fn bfgts_serve_reports_a_deeply_nested_document_and_serves_the_next() {
+    serve_after(&deep_line(), "nesting deeper than");
+}
+
+#[test]
+fn bfgts_serve_reports_a_huge_platform_and_serves_the_next() {
+    serve_after(
+        &wide_scenario(4, 9_000_000_000).to_json().to_string(),
+        "platform of 4 cpus / 9000000000 threads exceeds the limit",
     );
 }

@@ -4,9 +4,9 @@
 //! same cache keys, byte-identical summaries and the identical set of
 //! disk-cache entries as the originating binary's grid.
 
-use bfgts_baselines::BackoffCm;
+use bfgts_bench::json::Json;
 use bfgts_bench::runner::{emit_scenarios, run_grid, RunCell, RunnerOptions};
-use bfgts_bench::{BfgtsTunables, ManagerKind, ManagerSpec, Platform};
+use bfgts_bench::{BfgtsTunables, ManagerKind, ManagerSpec, Platform, Scenario};
 use bfgts_core::BfgtsVariant;
 use bfgts_workloads::presets;
 use std::collections::BTreeSet;
@@ -148,24 +148,34 @@ fn custom_cells_stay_out_of_the_cache_and_the_scenario_path() {
     let cache = temp_dir("custom");
     let _ = std::fs::remove_dir_all(&cache);
 
+    // A scenario file may name an opaque custom manager; it parses, but
+    // nothing can rebuild the manager from data.
     let spec = presets::kmeans().scaled(0.02);
-    let cell = RunCell::custom(&spec, Platform::small(), "opaque", || {
-        Box::new(BackoffCm::default())
-    });
-    assert!(!cell.cacheable());
-    assert!(RunCell::from_scenario(cell.scenario.clone()).is_err());
+    let mut cell = RunCell::one(&spec, ManagerKind::Backoff, Platform::small());
+    let mut doc = cell.scenario.to_json();
+    if let Json::Obj(map) = &mut doc {
+        map.insert(
+            "manager".to_string(),
+            Json::parse(r#"{"kind":"custom","tag":"opaque"}"#).unwrap(),
+        );
+    }
+    let parsed = Scenario::from_json(&doc).expect("custom managers parse");
+    assert!(RunCell::from_scenario(parsed.clone()).is_err());
 
-    let _ = run_grid(
-        std::slice::from_ref(&cell),
-        &RunnerOptions {
-            jobs: 1,
-            cache_dir: Some(cache.clone()),
-        },
-    );
+    // Smuggled into a cell anyway, it is not cacheable: the grid refuses
+    // to run it and leaves the disk cache untouched.
+    cell.scenario = parsed;
+    assert!(!cell.cacheable());
+    let opts = RunnerOptions {
+        jobs: 1,
+        cache_dir: Some(cache.clone()),
+    };
+    let ran = std::panic::catch_unwind(|| run_grid(std::slice::from_ref(&cell), &opts));
+    assert!(ran.is_err(), "a custom manager cannot be executed");
     assert_eq!(
         cache_entries(&cache).len(),
         0,
-        "closure-built cells must never be persisted"
+        "custom cells must never be persisted"
     );
     let _ = std::fs::remove_dir_all(&cache);
 }

@@ -15,28 +15,27 @@
 //!   scheduler's learned confidence table
 //!   ([`bfgts_core::CmFaults::poisoning`]).
 //!
-//! [`run_cell`] executes one campaign cell — an adversarial workload
-//! under a fault plan — for both BFGTS and the Backoff baseline, replays
-//! both traces through the accounting invariant checker (I1–I7,
-//! [`mod@bfgts_trace::audit`]) and checks the graceful-degradation bound:
-//! faulted BFGTS must never fall below a configured fraction of
-//! Backoff's throughput on the same workload and plan.
+//! A plan rides inside a `Scenario` (`bfgts-scenario`), so a faulted
+//! run is lowered, executed, traced and audited like any other cell;
+//! `bfgts_bench::fuzz` pairs each faulted BFGTS scenario with its Backoff
+//! twin, audits both traces (invariants I1–I11) and checks the
+//! graceful-degradation bound: faulted BFGTS must never fall below a
+//! configured fraction of Backoff's throughput on the same workload and
+//! plan.
 //!
 //! When a cell fails, [`minimize`] greedily shrinks the plan — dropping
 //! faults, then halving their magnitudes — to the smallest plan that
 //! still reproduces the failure, so a repro file carries signal instead
 //! of noise.
 //!
-//! Everything here is a pure function of its seeds: the same plan and
-//! cell configuration replay byte-identically at any parallelism.
+//! Everything here is a pure function of its seeds: the same plan
+//! replays byte-identically at any parallelism.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cell;
 mod minimize;
 mod plan;
 
-pub use cell::{bfgts_run, run_cell, CellConfig, CellReport};
 pub use minimize::minimize;
 pub use plan::{Fault, FaultPlan, SATURATE_VALUE};

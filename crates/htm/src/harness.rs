@@ -25,6 +25,15 @@ pub const SMALL_CPUS: usize = 4;
 /// Threads of the small CI/test platform.
 pub const SMALL_THREADS: usize = 8;
 
+/// Most CPUs a platform read from outside may declare: 4× the widest
+/// platform any experiment runs (`bench_scale`'s 1024 CPUs). A bound at
+/// the trust boundary, so a hostile document cannot size per-CPU state.
+pub const MAX_CPUS: usize = 4096;
+
+/// Most threads a platform read from outside may declare: 4× the widest
+/// platform any experiment runs (`bench_scale`'s 4096 threads).
+pub const MAX_THREADS: usize = 16384;
+
 /// Parameters of one workload run.
 #[derive(Debug, Clone)]
 pub struct TmRunConfig {

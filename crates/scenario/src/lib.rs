@@ -162,11 +162,22 @@ impl Platform {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("platform field '{key}' must be an unsigned integer"))
         };
-        let cpus = uint("cpus")? as usize;
-        let threads = uint("threads")? as usize;
+        let cpus = uint("cpus")?;
+        let threads = uint("threads")?;
         if cpus == 0 || threads == 0 {
             return Err("platform needs at least one cpu and one thread".into());
         }
+        // Checked before anything is sized from them: per-thread sources
+        // and per-CPU tables are allocated eagerly.
+        if cpus > bfgts_htm::MAX_CPUS as u64 || threads > bfgts_htm::MAX_THREADS as u64 {
+            return Err(format!(
+                "platform of {cpus} cpus / {threads} threads exceeds the limit of {} cpus / {} \
+                 threads",
+                bfgts_htm::MAX_CPUS,
+                bfgts_htm::MAX_THREADS
+            ));
+        }
+        let (cpus, threads) = (cpus as usize, threads as usize);
         let shards = match value.get("shards") {
             None => 1,
             Some(v) => v
