@@ -27,6 +27,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panic-safety policy (DESIGN.md §7) for the lib target; `tests/` and
+// `#[cfg(test)]` code may panic freely.
+#![warn(
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod ats;
 mod backoff;

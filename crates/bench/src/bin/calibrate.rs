@@ -25,7 +25,11 @@ fn main() {
     for spec in presets::all() {
         let spec = spec.scaled(args.scale);
         let cell = RunCell::one(&spec, ManagerKind::Backoff, args.platform);
-        let t0 = Instant::now(); // detlint: allow(D002) -- reports per-benchmark wall clock; simulation results never depend on it
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reports per-benchmark wall clock; simulation results never depend on it"
+        )]
+        let t0 = Instant::now();
         let summary = run_grid(std::slice::from_ref(&cell), &opts)
             .pop()
             .expect("one summary");

@@ -442,8 +442,8 @@ pub fn replay(repro: &Repro) -> Result<CellReport, String> {
 /// The seeded negative control: a confidence-poisoned cell judged
 /// against an impossible degradation floor (BFGTS must beat Backoff
 /// 100×), guaranteed to violate. CI runs this to prove the campaign
-/// harness actually catches failures — the fuzz-lane analogue of
-/// detlint's seeded-violation step.
+/// harness actually catches failures — the fuzz-lane analogue of the
+/// lint job's planted-violation steps.
 pub fn violating_control() -> CampaignCell {
     let seed = 0xC0_47_01;
     let plan = FaultPlan::new(0xC047).fault(Fault::ConfPoison {

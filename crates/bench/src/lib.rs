@@ -16,8 +16,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "tooling crate: its hash containers deduplicate cache keys and labels; \
+              no simulated value or printed order depends on their iteration order"
+)]
 
 pub mod fuzz;
+#[cfg(test)]
+mod rules;
 pub mod runner;
 pub mod trace_export;
 
@@ -32,7 +39,10 @@ pub use bfgts_scenario::{
 /// `bench_scale`, `bench_jobs`): wall time goes only into benchmark
 /// artifacts, never into printed result tables or simulation state.
 pub fn timed_ms<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    // detlint: allow(D002) -- benchmark wall-clock measurement, not simulation state
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "benchmark wall-clock measurement, not simulation state"
+    )]
     let started = std::time::Instant::now();
     let out = f();
     (out, started.elapsed().as_millis() as u64)

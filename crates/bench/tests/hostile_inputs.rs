@@ -1,11 +1,13 @@
 //! Hostile inputs at the binaries' trust boundaries: a document nested
-//! far past the JSON parser's depth limit, or declaring a platform far
-//! wider than any experiment runs, must be reported as an error — never
-//! overflow the stack or abort on allocation — and a server must go on
-//! serving after it.
+//! far past the JSON parser's depth limit, declaring a platform far
+//! wider than any experiment runs, or asking for a Bloom filter no
+//! signature can be built as, must be reported as an error — never
+//! overflow the stack, panic or abort on allocation — and a server must
+//! go on serving after it.
 
 use bfgts_bench::trace_export::to_jsonl;
-use bfgts_scenario::{ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec};
+use bfgts_core::{BfgtsConfig, MAX_BLOOM_BITS};
+use bfgts_scenario::{BfgtsTunables, ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec};
 use bfgts_trace::{AuditInputs, TraceRecording};
 use std::io::Write as _;
 use std::process::{Command, Stdio};
@@ -84,32 +86,92 @@ fn wide_scenario(cpus: usize, threads: usize) -> Scenario {
     )
 }
 
+/// Runs `bfgts_run FILE --no-cache` on the document `doc` and requires
+/// exit 2 with `expect` on stderr.
+fn bfgts_run_rejects(tag: &str, doc: &str, expect: &str) {
+    let path = std::env::temp_dir().join(format!(
+        "bfgts_hostile_{}_{tag}.scenario.json",
+        std::process::id()
+    ));
+    std::fs::write(&path, doc).expect("temp file writable");
+    let out = Command::new(env!("CARGO_BIN_EXE_bfgts_run"))
+        .arg(&path)
+        .arg("--no-cache")
+        .output()
+        .expect("bfgts_run runs");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{tag}: stderr: {stderr}");
+    assert!(stderr.contains(expect), "{tag}: {stderr}");
+}
+
 #[test]
 fn bfgts_run_reports_a_huge_platform() {
     for (tag, cpus, threads) in [
         ("threads", 4, 9_000_000_000),
         ("cpus", 4_000_000_000_000, 8),
     ] {
-        let path = std::env::temp_dir().join(format!(
-            "bfgts_hostile_{}_{tag}.scenario.json",
-            std::process::id()
-        ));
-        std::fs::write(&path, wide_scenario(cpus, threads).to_json().to_string())
-            .expect("temp file writable");
-        let out = Command::new(env!("CARGO_BIN_EXE_bfgts_run"))
-            .arg(&path)
-            .arg("--no-cache")
-            .output()
-            .expect("bfgts_run runs");
-        let _ = std::fs::remove_file(&path);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-        assert!(
-            stderr.contains(&format!(
-                "platform of {cpus} cpus / {threads} threads exceeds the limit"
-            )),
-            "{stderr}"
+        bfgts_run_rejects(
+            tag,
+            &wide_scenario(cpus, threads).to_json().to_string(),
+            &format!("platform of {cpus} cpus / {threads} threads exceeds the limit"),
         );
+    }
+}
+
+/// The roster and the tuned BFGTS-HW manager documents, each with its
+/// `bloom_bits` field set to `bits`.
+fn bloom_bits_documents(bits: u64) -> [(&'static str, String); 2] {
+    let roster = ManagerSpec::Kind {
+        kind: ManagerKind::BfgtsHw,
+        bloom_bits: Some(512),
+    };
+    let tuned = ManagerSpec::Bfgts(BfgtsTunables::from_config(
+        &BfgtsConfig::hw().bloom_bits(512),
+    ));
+    [("roster", roster), ("tuned", tuned)].map(|(tag, manager)| {
+        let doc = Scenario::new(
+            WorkloadSpec::Preset {
+                name: "Kmeans".into(),
+                total_txs: 50,
+            },
+            manager,
+            Platform {
+                cpus: 4,
+                threads: 8,
+                ..Platform::small()
+            },
+        )
+        .to_json()
+        .to_string();
+        assert!(doc.contains("\"bloom_bits\":512"), "{doc}");
+        (
+            tag,
+            doc.replace("\"bloom_bits\":512", &format!("\"bloom_bits\":{bits}")),
+        )
+    })
+}
+
+/// Sizes no signature can be built as: not whole 64-bit words, or far
+/// past the largest filter any experiment sweeps.
+const BAD_BLOOM_BITS: [u64; 5] = [0, 1, 65, 100, 4_000_000_000];
+
+fn bloom_bits_error(bits: u64) -> String {
+    format!(
+        "manager field 'bloom_bits' must be a multiple of 64 in 64..={MAX_BLOOM_BITS}, got {bits}"
+    )
+}
+
+#[test]
+fn bfgts_run_reports_an_impossible_bloom_size() {
+    for bits in BAD_BLOOM_BITS {
+        for (tag, doc) in bloom_bits_documents(bits) {
+            bfgts_run_rejects(
+                &format!("{tag}_bloom_{bits}"),
+                &doc,
+                &bloom_bits_error(bits),
+            );
+        }
     }
 }
 
@@ -162,4 +224,13 @@ fn bfgts_serve_reports_a_huge_platform_and_serves_the_next() {
         &wide_scenario(4, 9_000_000_000).to_json().to_string(),
         "platform of 4 cpus / 9000000000 threads exceeds the limit",
     );
+}
+
+#[test]
+fn bfgts_serve_reports_an_impossible_bloom_size_and_serves_the_next() {
+    for bits in [100, 4_000_000_000] {
+        for (_, doc) in bloom_bits_documents(bits) {
+            serve_after(&doc, &bloom_bits_error(bits));
+        }
+    }
 }

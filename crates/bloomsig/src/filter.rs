@@ -135,6 +135,7 @@ impl BloomFilter {
     }
 
     /// Inserts a key.
+    #[warn(clippy::indexing_slicing)]
     pub fn insert(&mut self, key: u64) {
         let (hashes, bits) = (self.params.hashes, self.params.bits);
         let words = self.words_mut();
@@ -155,6 +156,7 @@ impl BloomFilter {
     /// # Panics
     ///
     /// Panics if `pos >= bits`.
+    #[warn(clippy::indexing_slicing)]
     pub fn set_bit(&mut self, pos: u32) {
         assert!(
             pos < self.params.bits,
@@ -169,6 +171,7 @@ impl BloomFilter {
 
     /// Membership test. False positives are possible, false negatives are
     /// not.
+    #[warn(clippy::indexing_slicing)]
     pub fn may_contain(&self, key: u64) -> bool {
         let words = self.words();
         probe_positions(key, self.params.hashes, self.params.bits).all(|pos| {
@@ -217,6 +220,7 @@ impl BloomFilter {
     /// # Panics
     ///
     /// Panics if the two filters have different geometry.
+    #[warn(clippy::indexing_slicing)]
     pub fn union_in_place(&mut self, other: &Self) {
         self.check_compatible(other);
         for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
@@ -231,6 +235,7 @@ impl BloomFilter {
     /// # Panics
     ///
     /// Panics if the two filters have different geometry.
+    #[warn(clippy::indexing_slicing)]
     pub fn intersects(&self, other: &Self) -> bool {
         self.check_compatible(other);
         self.words()
@@ -255,6 +260,7 @@ impl BloomFilter {
     /// # Panics
     ///
     /// Panics if the two filters have different geometry.
+    #[warn(clippy::indexing_slicing)]
     pub fn intersection_estimate(&self, other: &Self) -> f64 {
         self.check_compatible(other);
         let (mut ones_a, mut ones_b, mut ones_union) = (0u32, 0u32, 0u32);
@@ -548,7 +554,10 @@ mod tests {
 
     #[test]
     fn eq_and_hash_use_active_slice() {
-        // detlint: allow(D001,D004) -- test asserts Hash-impl consistency within one process; no ordering or cross-run value is derived
+        #[expect(
+            clippy::disallowed_types,
+            reason = "test asserts Hash-impl consistency within one process; no ordering or cross-run value is derived"
+        )]
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let mut a = BloomFilter::new(1024, 4);
@@ -559,7 +568,8 @@ mod tests {
         }
         assert_eq!(a, b);
         let hash = |f: &BloomFilter| {
-            let mut h = DefaultHasher::new(); // detlint: allow(D004) -- same-process hash comparison only
+            #[expect(clippy::disallowed_types, reason = "same-process hash comparison only")]
+            let mut h = DefaultHasher::new();
             f.hash(&mut h);
             h.finish()
         };

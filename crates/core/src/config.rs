@@ -2,6 +2,10 @@
 
 use bfgts_bloomsig::SignatureKind;
 
+/// Largest Bloom filter size a scenario may request, in bits: the top
+/// of the paper's Figure 6 sweep (512–8192).
+pub const MAX_BLOOM_BITS: u32 = 8192;
+
 /// Which of the paper's four evaluated BFGTS flavours to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BfgtsVariant {

@@ -37,6 +37,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panic-safety policy (DESIGN.md §7) for the lib target; `tests/` and
+// `#[cfg(test)]` code may panic freely.
+#![warn(
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod config;
 mod faults;
@@ -45,7 +54,7 @@ mod manager;
 mod sig;
 mod tables;
 
-pub use config::{BfgtsConfig, BfgtsVariant};
+pub use config::{BfgtsConfig, BfgtsVariant, MAX_BLOOM_BITS};
 pub use faults::{CmFaults, PoisonMode};
 pub use hw::HwPredictor;
 pub use manager::BfgtsCm;

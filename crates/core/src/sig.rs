@@ -5,10 +5,11 @@ use bfgts_htm::LineAddr;
 
 /// A read/write-set signature in whichever representation the
 /// configuration selected.
-// The Bloom variant embeds up to 2048 bits inline so per-transaction
-// signature construction never heap-allocates; boxing it to shrink the
-// enum would reintroduce exactly that allocation.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "the Bloom variant embeds up to 2048 bits inline so per-transaction signature \
+              construction never heap-allocates; boxing it would reintroduce that allocation"
+)]
 #[derive(Debug, Clone)]
 pub(crate) enum Sig {
     Bloom(BloomFilter),
@@ -38,11 +39,15 @@ impl Sig {
     ///
     /// Mismatched representations cannot occur in practice (one manager,
     /// one configuration); we treat it as a logic error.
+    #[warn(clippy::indexing_slicing)]
     pub(crate) fn intersection_estimate(&self, other: &Sig) -> f64 {
         match (self, other) {
             (Sig::Bloom(a), Sig::Bloom(b)) => a.intersection_estimate(b),
             (Sig::Perfect(a), Sig::Perfect(b)) => a.intersection_estimate(b),
-            // detlint: allow(P002) -- documented logic-error guard: one manager keeps every signature in one representation
+            #[expect(
+                clippy::panic,
+                reason = "documented logic-error guard: one manager keeps every signature in one representation"
+            )]
             _ => panic!("signature representation mismatch"),
         }
     }
@@ -57,11 +62,15 @@ impl Sig {
     }
 
     /// Whether the signatures (may) overlap.
+    #[warn(clippy::indexing_slicing)]
     pub(crate) fn intersects(&self, other: &Sig) -> bool {
         match (self, other) {
             (Sig::Bloom(a), Sig::Bloom(b)) => a.intersects(b),
             (Sig::Perfect(a), Sig::Perfect(b)) => a.intersects(b),
-            // detlint: allow(P002) -- documented logic-error guard: one manager keeps every signature in one representation
+            #[expect(
+                clippy::panic,
+                reason = "documented logic-error guard: one manager keeps every signature in one representation"
+            )]
             _ => panic!("signature representation mismatch"),
         }
     }

@@ -267,6 +267,10 @@ impl TmRunReport {
     pub fn audit_or_panic(&self) -> bfgts_trace::AuditSummary {
         match self.audit() {
             Ok(summary) => summary,
+            #[expect(
+                clippy::panic,
+                reason = "panicking on audit violations is this helper's documented contract"
+            )]
             Err(violations) => {
                 let mut msg = format!(
                     "accounting audit failed with {} violation(s):\n",
@@ -275,7 +279,6 @@ impl TmRunReport {
                 for v in &violations {
                     msg.push_str(&format!("  {v}\n"));
                 }
-                // detlint: allow(P002) -- panicking on audit violations is this helper's documented contract
                 panic!("{msg}");
             }
         }

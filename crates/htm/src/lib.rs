@@ -41,6 +41,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panic-safety policy (DESIGN.md §7) for the lib target; `tests/` and
+// `#[cfg(test)]` code may panic freely.
+#![warn(
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod cm;
 mod harness;
@@ -65,3 +74,16 @@ pub use state::{AccessResult, Detection, TmState, TmWorld, SHARD_BLOCK_LINES};
 pub use stats::TmStats;
 pub use thread::{TxThreadConfig, TxThreadLogic};
 pub use txn::{Access, ScriptSource, TxInstance, TxPoll, TxSource};
+
+#[cfg(test)]
+mod tests {
+    use std::hint::black_box;
+
+    /// The root manifest keeps overflow checks on for this crate in
+    /// release builds, so a bare `u64` sum panics instead of wrapping
+    /// (`cargo test --release` exercises it).
+    #[test]
+    fn bare_u64_arithmetic_panics_on_overflow() {
+        assert!(std::panic::catch_unwind(|| black_box(u64::MAX) + black_box(1)).is_err());
+    }
+}

@@ -236,9 +236,12 @@ impl TmState {
     /// Panics if the bounded geometry is invalid (see
     /// [`Detection::validate`]).
     pub fn configure_detection(&mut self, detection: Detection) {
+        #[expect(
+            clippy::panic,
+            reason = "documented panic contract: an invalid detection geometry is a configuration bug, caught before any cycle runs"
+        )]
         detection
             .validate()
-            // detlint: allow(P002) -- documented panic contract: an invalid detection geometry is a configuration bug, caught before any cycle runs
             .unwrap_or_else(|e| panic!("invalid detection config: {e}"));
         self.detection = detection;
     }

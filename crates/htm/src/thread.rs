@@ -146,6 +146,7 @@ impl<S: TxSource> TxThreadLogic<S> {
 
     /// Handles one phase; returns `Some(action)` or `None` to fall
     /// through to the next phase within the same step.
+    #[warn(clippy::indexing_slicing)]
     fn advance(&mut self, world: &mut TmWorld, ctx: &mut ThreadCtx) -> Option<Action> {
         match self.phase {
             Phase::FetchNext => {
@@ -713,6 +714,7 @@ impl<S: TxSource> TxThreadLogic<S> {
 }
 
 impl<S: TxSource> ThreadLogic<TmWorld> for TxThreadLogic<S> {
+    #[warn(clippy::indexing_slicing)]
     fn step(&mut self, world: &mut TmWorld, ctx: &mut ThreadCtx) -> Action {
         // Fall through zero-time phases until a real action emerges; the
         // loop is bounded because every cycle of phases contains at least
@@ -722,11 +724,16 @@ impl<S: TxSource> ThreadLogic<TmWorld> for TxThreadLogic<S> {
                 return action;
             }
         }
-        // detlint: allow(P002) -- documented panic: a phase machine that spins without producing an action is a logic bug
-        panic!(
-            "thread {} made no progress in 64 phase transitions (phase {:?})",
-            ctx.thread, self.phase
-        );
+        #[expect(
+            clippy::panic,
+            reason = "documented panic: a phase machine that spins without producing an action is a logic bug"
+        )]
+        {
+            panic!(
+                "thread {} made no progress in 64 phase transitions (phase {:?})",
+                ctx.thread, self.phase
+            )
+        }
     }
 }
 

@@ -27,7 +27,7 @@ use bfgts_baselines::{
     AtsCm, BackoffCm, BalancedGreedyCm, BalancedGreedyConfig, PolkaCm, PtsCm, PtsConfig, StallCm,
     WindowGreedyCm, WindowGreedyConfig,
 };
-use bfgts_core::{BfgtsCm, BfgtsConfig, BfgtsVariant, CmFaults};
+use bfgts_core::{BfgtsCm, BfgtsConfig, BfgtsVariant, CmFaults, MAX_BLOOM_BITS};
 use bfgts_faultsim::{Fault, FaultPlan};
 pub use bfgts_htm::Detection;
 use bfgts_htm::{ContentionManager, TmRunConfig};
@@ -534,22 +534,12 @@ impl BfgtsTunables {
             .and_then(Json::as_str)
             .and_then(variant_from_key)
             .ok_or("bfgts manager needs a 'variant' of sw|hw|hw_backoff|no_overhead")?;
-        let narrow = |key: &str| -> Result<Option<u32>, String> {
-            match value.get(key) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .map(Some)
-                    .ok_or_else(|| format!("manager field '{key}' must fit u32")),
-            }
-        };
         Ok(Self {
             variant,
-            bloom_bits: narrow("bloom_bits")?,
-            small_tx_interval: narrow("small_tx_interval")?
+            bloom_bits: ManagerSpec::opt_bloom_bits(value)?,
+            small_tx_interval: ManagerSpec::opt_u32(value, "small_tx_interval")?
                 .ok_or("bfgts manager needs a 'small_tx_interval' integer")?,
-            alias_slots: narrow("alias_slots")?,
+            alias_slots: ManagerSpec::opt_u32(value, "alias_slots")?,
             similarity_weighting: match value.get("similarity_weighting") {
                 Some(Json::Bool(b)) => *b,
                 Some(_) => return Err("'similarity_weighting' must be a boolean".into()),
@@ -745,15 +735,10 @@ impl ManagerSpec {
                     .and_then(Json::as_str)
                     .and_then(ManagerKind::from_key)
                     .ok_or("roster manager needs a known 'manager' key")?;
-                let bloom_bits = match value.get("bloom_bits") {
-                    None => None,
-                    Some(v) => Some(
-                        v.as_u64()
-                            .and_then(|n| u32::try_from(n).ok())
-                            .ok_or("'bloom_bits' must fit u32")?,
-                    ),
-                };
-                Ok(ManagerSpec::Kind { kind, bloom_bits })
+                Ok(ManagerSpec::Kind {
+                    kind,
+                    bloom_bits: Self::opt_bloom_bits(value)?,
+                })
             }
             Some("bfgts") => Ok(ManagerSpec::Bfgts(BfgtsTunables::from_json(value)?)),
             Some("polka") => Ok(ManagerSpec::Polka),
@@ -787,6 +772,22 @@ impl ManagerSpec {
                 .and_then(|n| u32::try_from(n).ok())
                 .map(Some)
                 .ok_or_else(|| format!("manager field '{key}' must fit u32")),
+        }
+    }
+
+    /// The optional `bloom_bits` field, checked before any filter is
+    /// built: signatures are made of 64-bit words, so the size is a
+    /// multiple of 64 in `64..=MAX_BLOOM_BITS`.
+    fn opt_bloom_bits(value: &Json) -> Result<Option<u32>, String> {
+        let bits = Self::opt_u32(value, "bloom_bits")?;
+        match bits {
+            Some(b) if !b.is_multiple_of(64) || !(64..=MAX_BLOOM_BITS).contains(&b) => {
+                Err(format!(
+                    "manager field 'bloom_bits' must be a multiple of 64 in \
+                     64..={MAX_BLOOM_BITS}, got {b}"
+                ))
+            }
+            _ => Ok(bits),
         }
     }
 }

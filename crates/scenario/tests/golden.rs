@@ -107,7 +107,10 @@ fn canonical_text(scenario: &Scenario) -> String {
 #[test]
 fn golden_fixtures_are_byte_stable() {
     let dir = fixture_dir();
-    // detlint: allow(D005) -- test-only bless switch; never read by a simulation
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-only bless switch; never read by a simulation"
+    )]
     let bless = std::env::var_os("BLESS_SCENARIOS").is_some();
     if bless {
         std::fs::create_dir_all(&dir).unwrap();

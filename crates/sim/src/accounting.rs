@@ -88,6 +88,7 @@ pub struct TimeBuckets {
 impl TimeBuckets {
     /// Adds `cycles` to `bucket`. (Named `charge` to avoid clashing with
     /// [`std::ops::Add::add`].)
+    #[warn(clippy::indexing_slicing)]
     pub fn charge(&mut self, bucket: Bucket, cycles: u64) {
         let slot = self.slot(bucket);
         *slot = slot
@@ -129,6 +130,7 @@ impl TimeBuckets {
     /// caller asked to move cycles it never charged — correct accounting
     /// never saturates here, and the tracing audit treats it as a
     /// violation (see `bfgts_trace::audit`).
+    #[warn(clippy::indexing_slicing)]
     pub fn transfer(&mut self, from: Bucket, to: Bucket, cycles: u64) -> u64 {
         let moved = cycles.min(self.get(from));
         let src = self.slot(from);
@@ -191,6 +193,21 @@ impl std::iter::Sum for TimeBuckets {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hint::black_box;
+    use std::panic::catch_unwind;
+
+    /// The root manifest keeps overflow checks on for this crate in
+    /// release builds, so a bare `u64` cycle sum panics instead of
+    /// wrapping (`cargo test --release` exercises it).
+    #[test]
+    fn bare_u64_arithmetic_panics_on_overflow() {
+        assert!(catch_unwind(|| black_box(u64::MAX) + black_box(1)).is_err());
+        let mut t = TimeBuckets::default();
+        t.charge(Bucket::NonTx, u64::MAX);
+        t.charge(Bucket::Kernel, 1);
+        assert!(catch_unwind(|| t.total_cycles()).is_err());
+        assert!(catch_unwind(|| t + t).is_err());
+    }
 
     #[test]
     fn add_and_get() {

@@ -386,6 +386,7 @@ impl<W> Engine<W> {
     /// # Panics
     ///
     /// Same conditions as [`Engine::run`].
+    #[warn(clippy::indexing_slicing)]
     pub fn run_into(mut self) -> (RunReport, W) {
         for cpu in 0..self.cpus.len() {
             self.arm(CpuId(cpu), Cycle::ZERO);
@@ -409,6 +410,10 @@ impl<W> Engine<W> {
             self.cpu_mut(CpuId(cpu_idx)).armed = false;
             self.service_cpu(CpuId(cpu_idx));
         }
+        #[expect(
+            clippy::panic,
+            reason = "documented panic contract of run(): a deadlocked program under test is unrecoverable"
+        )]
         if self.finished != self.threads.len() {
             let stuck: Vec<String> = self
                 .threads
@@ -417,7 +422,6 @@ impl<W> Engine<W> {
                 .filter(|(_, t)| t.state != ThreadState::Finished)
                 .map(|(i, t)| format!("{}:{:?}", ThreadId(i), t.state))
                 .collect();
-            // detlint: allow(P002) -- documented panic contract of run(): a deadlocked program under test is unrecoverable
             panic!(
                 "simulated deadlock at {}: stuck threads {stuck:?}",
                 self.now
@@ -442,6 +446,7 @@ impl<W> Engine<W> {
     /// [`Engine::arm_timer`]) pending later than `time` is pulled earlier,
     /// and the superseded event is ignored on pop via its stale sequence
     /// number.
+    #[warn(clippy::indexing_slicing)]
     fn arm(&mut self, cpu: CpuId, time: Cycle) {
         self.arm_inner(cpu, time, false);
     }
@@ -472,6 +477,7 @@ impl<W> Engine<W> {
         }
     }
 
+    #[warn(clippy::indexing_slicing)]
     fn service_cpu(&mut self, cpu: CpuId) {
         let costs = self.config.costs.clone();
         // Promote due timed sleepers pinned to this CPU back into its run
@@ -705,6 +711,7 @@ impl<W> Engine<W> {
         }
     }
 
+    #[warn(clippy::indexing_slicing)]
     fn wake_internal(&mut self, target: ThreadId) {
         let slot = self.thread_mut(target);
         match slot.state {

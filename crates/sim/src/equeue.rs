@@ -69,6 +69,7 @@ impl Slot {
         self.head == self.items.len()
     }
 
+    #[warn(clippy::indexing_slicing)]
     fn push(&mut self, seq: u64, cpu: usize) {
         if self.is_drained() && self.head != 0 {
             self.items.clear();
@@ -143,6 +144,7 @@ impl CalendarQueue {
     /// must carry increasing `seq` values (the engine's arming counter
     /// is monotonic) — same-time entries are kept in arrival order,
     /// which equals seq order exactly under that contract.
+    #[warn(clippy::indexing_slicing)]
     pub fn push(&mut self, time: Cycle, seq: u64, cpu: usize) {
         let t = time.as_u64();
         let ahead = t
@@ -159,6 +161,7 @@ impl CalendarQueue {
     }
 
     /// Removes and returns the earliest event (smallest `(time, seq)`).
+    #[warn(clippy::indexing_slicing)]
     pub fn pop(&mut self) -> Option<Event> {
         if self.len == 0 {
             return None;
@@ -195,6 +198,7 @@ impl CalendarQueue {
         Some((Cycle::new(t), seq, cpu))
     }
 
+    #[warn(clippy::indexing_slicing)]
     fn ring_insert(&mut self, t: u64, seq: u64, cpu: usize) {
         let idx = (t & MASK) as usize;
         self.buckets
@@ -211,6 +215,7 @@ impl CalendarQueue {
             .expect("ring index maps into the summary") |= 1 << ((idx >> 6) & 63);
     }
 
+    #[warn(clippy::indexing_slicing)]
     fn clear_bit(&mut self, idx: usize) {
         let word = self
             .words
@@ -228,6 +233,7 @@ impl CalendarQueue {
     /// Moves every overflow entry that the advanced cursor brought into
     /// the window onto the ring. Called on every cursor advance, which
     /// is what keeps the two invariants above true.
+    #[warn(clippy::indexing_slicing)]
     fn migrate(&mut self) {
         while self
             .overflow_min
@@ -254,6 +260,7 @@ impl CalendarQueue {
     /// Index of the first occupied bucket at circular distance `>= 0`
     /// from `start`. Two bitmap levels make this a handful of word
     /// operations regardless of where the next event sits.
+    #[warn(clippy::indexing_slicing)]
     fn find_next(&self, start: usize) -> usize {
         debug_assert!(self.len > self.overflow_len, "ring is empty");
         let w0 = start >> 6;
@@ -276,6 +283,7 @@ impl CalendarQueue {
 
     /// First non-zero first-level word at index `>= from`, via the
     /// summary bitmap (no wrap-around).
+    #[warn(clippy::indexing_slicing)]
     fn next_word(&self, from: usize) -> Option<usize> {
         if from >= WORDS {
             return None;
@@ -318,6 +326,7 @@ impl EventQueue {
     }
 
     /// Inserts an event.
+    #[warn(clippy::indexing_slicing)]
     pub fn push(&mut self, time: Cycle, seq: u64, cpu: usize) {
         match self {
             EventQueue::Heap(h) => h.push(Reverse((time, seq, cpu))),
@@ -326,6 +335,7 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest event.
+    #[warn(clippy::indexing_slicing)]
     pub fn pop(&mut self) -> Option<Event> {
         match self {
             EventQueue::Heap(h) => h.pop().map(|Reverse(e)| e),

@@ -44,10 +44,14 @@ impl Cycle {
     /// legitimately race (e.g. comparing timestamps from different
     /// logical clocks) should use [`Cycle::checked_since`].
     #[track_caller]
+    #[warn(clippy::indexing_slicing)]
     pub fn since(self, earlier: Cycle) -> Cycle {
         match self.checked_since(earlier) {
             Some(d) => d,
-            // detlint: allow(P002) -- documented panic policy: a backwards clock must abort rather than corrupt accounting
+            #[expect(
+                clippy::panic,
+                reason = "documented panic policy: a backwards clock must abort rather than corrupt accounting"
+            )]
             None => panic!(
                 "Cycle::since: time went backwards ({}cy is earlier than {}cy)",
                 self.0, earlier.0
@@ -75,8 +79,10 @@ impl Cycle {
 impl Add for Cycle {
     type Output = Cycle;
     /// Panics in all builds on overflow. `Cycle` operators are the
-    /// workspace's sanctioned cycle-arithmetic boundary (detlint rule
-    /// A001 exempts them), so they must not wrap silently in release.
+    /// workspace's cycle-arithmetic boundary: they must not wrap
+    /// silently in release, in any crate that uses them (bare `u64`
+    /// arithmetic in `bfgts-sim` and `bfgts-htm` gets the same policy
+    /// from their release overflow checks).
     #[track_caller]
     fn add(self, rhs: Cycle) -> Cycle {
         Cycle(

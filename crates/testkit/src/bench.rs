@@ -77,7 +77,11 @@ impl Harness {
         // measurement target.
         let mut iters = 1u64;
         loop {
-            let t0 = Instant::now(); // detlint: allow(D002) -- bench harness measures wall time by design; never feeds simulation state
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "bench harness measures wall time by design; never feeds simulation state"
+            )]
+            let t0 = Instant::now();
             for _ in 0..iters {
                 f();
             }
@@ -96,7 +100,11 @@ impl Harness {
         }
         let mut samples: Vec<f64> = (0..BATCHES)
             .map(|_| {
-                let t0 = Instant::now(); // detlint: allow(D002) -- bench harness measures wall time by design; never feeds simulation state
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "bench harness measures wall time by design; never feeds simulation state"
+                )]
+                let t0 = Instant::now();
                 for _ in 0..iters {
                     f();
                 }

@@ -7,10 +7,10 @@
 //! wrong bucket, a cycle double-counted at a context switch, or a
 //! subtraction silently saturating in release builds all produce
 //! plausible-looking totals. This crate is the dynamic counterpart to the
-//! workspace's static determinism lint (`detlint`): an event-level record
-//! of *everything* that moves cycles or drives a scheduling decision,
-//! plus an invariant checker ([`audit()`]) that replays the record and
-//! proves the aggregates correct.
+//! workspace's static determinism policy (clippy lints, DESIGN.md §7): an
+//! event-level record of *everything* that moves cycles or drives a
+//! scheduling decision, plus an invariant checker ([`audit()`]) that
+//! replays the record and proves the aggregates correct.
 //!
 //! Three pieces:
 //!
