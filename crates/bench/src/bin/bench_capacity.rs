@@ -19,11 +19,10 @@
 
 use bfgts_bench::json::Json;
 use bfgts_bench::runner::RunCell;
-use bfgts_bench::ManagerKind;
+use bfgts_bench::{parse_artifact_args, write_artifact, ManagerKind};
 use bfgts_scenario::Platform;
 use bfgts_sim::TraceMode;
 use bfgts_workloads::presets;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -46,41 +45,6 @@ const HASHES: u32 = 2;
 /// The managers under comparison: the scheduler whose learning the
 /// noisy oracle feeds, and the baseline that never learns.
 const KINDS: [ManagerKind; 2] = [ManagerKind::BfgtsHw, ManagerKind::Backoff];
-
-struct Args {
-    quick: bool,
-    out: PathBuf,
-    seed: u64,
-}
-
-fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
-    let mut out = Args {
-        quick: false,
-        out: PathBuf::from("results/BENCH_capacity.json"),
-        seed: bfgts_scenario::EXPERIMENT_SEED,
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "-h" | "--help" => return Ok(None),
-            "--quick" => out.quick = true,
-            "--out" => {
-                i += 1;
-                out.out = PathBuf::from(argv.get(i).ok_or("--out needs a value")?);
-            }
-            "--seed" => {
-                i += 1;
-                let v = argv.get(i).ok_or("--seed needs a value")?;
-                out.seed = v
-                    .parse()
-                    .map_err(|_| format!("--seed needs an integer, got '{v}'"))?;
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-        i += 1;
-    }
-    Ok(Some(out))
-}
 
 struct Row {
     kind: ManagerKind,
@@ -144,18 +108,7 @@ fn row_json(row: &Row) -> Json {
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(msg) => {
-            eprintln!("error: {msg}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = parse_artifact_args(USAGE, "results/BENCH_capacity.json");
 
     let mut platform = Platform::small();
     platform.seed = args.seed;
@@ -212,14 +165,8 @@ fn main() -> ExitCode {
         ("quick", Json::Bool(args.quick)),
         ("rows", Json::Arr(rows.iter().map(row_json).collect())),
     ]);
-    if let Some(parent) = args.out.parent().filter(|p| !p.as_os_str().is_empty()) {
-        if let Err(err) = std::fs::create_dir_all(parent) {
-            eprintln!("error: could not create {}: {err}", parent.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(err) = std::fs::write(&args.out, doc.to_string() + "\n") {
-        eprintln!("error: could not write {}: {err}", args.out.display());
+    if let Err(msg) = write_artifact(&args.out, &doc) {
+        eprintln!("error: {msg}");
         return ExitCode::FAILURE;
     }
     println!("bench_capacity: wrote {}", args.out.display());

@@ -15,7 +15,9 @@
 
 use bfgts_bench::json::Json;
 use bfgts_bench::runner::{self, run_grid, RunCell, RunnerOptions};
-use bfgts_bench::{timed_ms, ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec};
+use bfgts_bench::{
+    timed_ms, write_artifact, ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec,
+};
 use bfgts_scenario::EXPERIMENT_SEED;
 use bfgts_workloads::presets;
 use std::path::PathBuf;
@@ -161,14 +163,8 @@ fn main() -> ExitCode {
         ("seed", Json::UInt(args.seed)),
         ("rows", Json::Arr(rows)),
     ]);
-    if let Some(parent) = args.out.parent().filter(|p| !p.as_os_str().is_empty()) {
-        if let Err(err) = std::fs::create_dir_all(parent) {
-            eprintln!("error: could not create {}: {err}", parent.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(err) = std::fs::write(&args.out, doc.to_string() + "\n") {
-        eprintln!("error: could not write {}: {err}", args.out.display());
+    if let Err(msg) = write_artifact(&args.out, &doc) {
+        eprintln!("error: {msg}");
         return ExitCode::FAILURE;
     }
     println!("bench_jobs: wrote {}", args.out.display());

@@ -8,22 +8,19 @@
 //! Each row runs one BFGTS-HW cell on an N-CPU platform (4 threads per
 //! CPU, conflict detection sharded at one shard per 16 CPUs) with the
 //! workload rescaled into the 10⁵–10⁶ transaction band, and records
-//! makespan, commits, aborts and wall-clock. At 256 CPUs the identical
-//! cell is run once more with the legacy binary-heap event queue: both
-//! queues must produce byte-identical simulation results (asserted), so
-//! the two wall-clocks isolate the calendar queue's speedup.
+//! makespan, commits, aborts and wall-clock. Every row is an ordinary
+//! [`RunCell`], lowered and run exactly as a scenario file would be.
 //!
 //! Simulation results in the artifact are deterministic; only the
 //! `wall_ms` fields vary run to run. The artifact lands in
 //! `results/BENCH_scale.json` by default.
 
 use bfgts_bench::json::Json;
-use bfgts_bench::{timed_ms, ManagerKind};
-use bfgts_htm::{run_workload, TmRunConfig, TmRunReport};
-use bfgts_scenario::EXPERIMENT_SEED;
-use bfgts_sim::EventQueueKind;
+use bfgts_bench::runner::RunCell;
+use bfgts_bench::{parse_artifact_args, timed_ms, write_artifact, ManagerKind, Platform};
+use bfgts_htm::TmRunReport;
+use bfgts_sim::TraceMode;
 use bfgts_workloads::presets;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -41,44 +38,6 @@ const CPUS_PER_SHARD: usize = 16;
 /// The swept platform widths.
 const CPU_POINTS: [usize; 4] = [16, 64, 256, 1024];
 
-/// The width where the old heap is raced against the calendar queue.
-const QUEUE_RACE_CPUS: usize = 256;
-
-struct Args {
-    quick: bool,
-    out: PathBuf,
-    seed: u64,
-}
-
-fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
-    let mut out = Args {
-        quick: false,
-        out: PathBuf::from("results/BENCH_scale.json"),
-        seed: EXPERIMENT_SEED,
-    };
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "-h" | "--help" => return Ok(None),
-            "--quick" => out.quick = true,
-            "--out" => {
-                i += 1;
-                out.out = PathBuf::from(argv.get(i).ok_or("--out needs a value")?);
-            }
-            "--seed" => {
-                i += 1;
-                let v = argv.get(i).ok_or("--seed needs a value")?;
-                out.seed = v
-                    .parse()
-                    .map_err(|_| format!("--seed needs an integer, got '{v}'"))?;
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-        i += 1;
-    }
-    Ok(Some(out))
-}
-
 /// Total dynamic transactions for an N-CPU row: 6250 per CPU, capped at
 /// the top of the 10⁵–10⁶ band (16 → 100k, 64 → 400k, 256+ → 1M).
 fn txns_for(cpus: usize, quick: bool) -> u64 {
@@ -90,25 +49,25 @@ fn txns_for(cpus: usize, quick: bool) -> u64 {
     }
 }
 
-fn run_row(cpus: usize, txns: u64, seed: u64, queue: EventQueueKind) -> TmRunReport {
+fn run_row(cpus: usize, txns: u64, seed: u64) -> TmRunReport {
     let mut spec = presets::kmeans();
     spec.total_txs = txns;
-    let threads = cpus * 4;
-    let shards = (cpus / CPUS_PER_SHARD).max(1) as u32;
-    let cfg = TmRunConfig::new(cpus, threads)
-        .seed(seed)
-        .shards(shards)
-        .queue(queue);
-    run_workload(&cfg, spec.sources(threads), ManagerKind::BfgtsHw.build(512))
+    let platform = Platform {
+        cpus,
+        threads: cpus * 4,
+        seed,
+        ..Platform::paper()
+    }
+    .sharded((cpus / CPUS_PER_SHARD).max(1) as u32);
+    RunCell::with_bloom(&spec, ManagerKind::BfgtsHw, platform, 512).execute_report(TraceMode::Off)
 }
 
-fn row_json(cpus: usize, txns: u64, queue: &str, report: &TmRunReport, wall_ms: u64) -> Json {
+fn row_json(cpus: usize, txns: u64, report: &TmRunReport, wall_ms: u64) -> Json {
     Json::obj([
         ("cpus", Json::UInt(cpus as u64)),
         ("threads", Json::UInt(cpus as u64 * 4)),
         ("shards", Json::UInt((cpus / CPUS_PER_SHARD).max(1) as u64)),
         ("txns", Json::UInt(txns)),
-        ("queue", Json::Str(queue.to_string())),
         ("makespan", Json::UInt(report.sim.makespan.as_u64())),
         ("commits", Json::UInt(report.stats.commits())),
         ("aborts", Json::UInt(report.stats.aborts())),
@@ -117,51 +76,21 @@ fn row_json(cpus: usize, txns: u64, queue: &str, report: &TmRunReport, wall_ms: 
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(msg) => {
-            eprintln!("error: {msg}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = parse_artifact_args(USAGE, "results/BENCH_scale.json");
 
     let mut rows = Vec::new();
-    let mut race: Option<(u64, u64)> = None;
     for cpus in CPU_POINTS {
         let txns = txns_for(cpus, args.quick);
-        let (report, wall_ms) =
-            timed_ms(|| run_row(cpus, txns, args.seed, EventQueueKind::Calendar));
+        let (report, wall_ms) = timed_ms(|| run_row(cpus, txns, args.seed));
         println!(
             "bench_scale: {cpus:>4} cpus, {txns:>7} txns: makespan {} ({} commits, {wall_ms} ms)",
             report.sim.makespan.as_u64(),
             report.stats.commits()
         );
-        rows.push(row_json(cpus, txns, "calendar", &report, wall_ms));
-        if cpus == QUEUE_RACE_CPUS {
-            let (heap, heap_ms) = timed_ms(|| run_row(cpus, txns, args.seed, EventQueueKind::Heap));
-            // The queue is a pure wall-clock knob: any divergence here is
-            // an ordering bug, not a measurement.
-            assert_eq!(
-                heap.sim.makespan, report.sim.makespan,
-                "queue changed makespan"
-            );
-            assert_eq!(heap.stats.commits(), report.stats.commits());
-            assert_eq!(heap.stats.aborts(), report.stats.aborts());
-            println!(
-                "bench_scale: {cpus:>4} cpus, legacy heap queue: identical results, {heap_ms} ms \
-                 (calendar {wall_ms} ms)"
-            );
-            rows.push(row_json(cpus, txns, "heap", &heap, heap_ms));
-            race = Some((heap_ms, wall_ms));
-        }
+        rows.push(row_json(cpus, txns, &report, wall_ms));
     }
 
-    let mut pairs = vec![
+    let doc = Json::obj([
         ("bin", Json::Str("bench_scale".to_string())),
         ("version", Json::UInt(1)),
         ("workload", Json::Str("Kmeans".to_string())),
@@ -172,25 +101,9 @@ fn main() -> ExitCode {
         ("seed", Json::UInt(args.seed)),
         ("quick", Json::Bool(args.quick)),
         ("rows", Json::Arr(rows)),
-    ];
-    if let Some((heap_ms, calendar_ms)) = race {
-        pairs.push((
-            "queue_race_256",
-            Json::obj([
-                ("heap_wall_ms", Json::UInt(heap_ms)),
-                ("calendar_wall_ms", Json::UInt(calendar_ms)),
-            ]),
-        ));
-    }
-    let doc = Json::obj(pairs);
-    if let Some(parent) = args.out.parent().filter(|p| !p.as_os_str().is_empty()) {
-        if let Err(err) = std::fs::create_dir_all(parent) {
-            eprintln!("error: could not create {}: {err}", parent.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(err) = std::fs::write(&args.out, doc.to_string() + "\n") {
-        eprintln!("error: could not write {}: {err}", args.out.display());
+    ]);
+    if let Err(msg) = write_artifact(&args.out, &doc) {
+        eprintln!("error: {msg}");
         return ExitCode::FAILURE;
     }
     println!("bench_scale: wrote {}", args.out.display());

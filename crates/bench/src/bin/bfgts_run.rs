@@ -13,11 +13,8 @@
 //! byte-identically and shares its `results/cache` entries.
 
 use bfgts_bench::json::Json;
-use bfgts_bench::runner::{
-    self, audit_cells, chrome_trace_path, export_cell_trace, run_grid, write_grid_json, RunCell,
-    RunnerOptions,
-};
-use bfgts_bench::ManagerSpec;
+use bfgts_bench::runner::{self, finish_grid, run_grid, RunCell, RunnerOptions};
+use bfgts_bench::write_artifact;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -168,11 +165,6 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(path) = &args.json {
-        if let Err(err) = write_grid_json(path, &cells, &results) {
-            eprintln!("warning: could not write {}: {err}", path.display());
-        }
-    }
     if let Some(path) = &args.bench_json {
         let doc = Json::obj([
             ("version", Json::UInt(1)),
@@ -196,50 +188,18 @@ fn main() -> ExitCode {
                 ),
             ),
         ]);
-        let write = || -> std::io::Result<()> {
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                std::fs::create_dir_all(parent)?;
-            }
-            std::fs::write(path, doc.to_string() + "\n")
-        };
-        if let Err(err) = write() {
-            eprintln!("warning: could not write {}: {err}", path.display());
+        if let Err(msg) = write_artifact(path, &doc) {
+            eprintln!("warning: {msg}");
         }
     }
-    if args.audit {
-        match audit_cells(&cells) {
-            Ok(totals) => eprintln!("audit: {totals}"),
-            Err(violations) => {
-                for v in violations.iter().take(10) {
-                    eprintln!("audit violation: {v}");
-                }
-                eprintln!(
-                    "error: accounting audit failed with {} violation(s)",
-                    violations.len()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &args.trace {
-        let cell = cells
-            .iter()
-            .find(|c| !matches!(c.scenario.manager, ManagerSpec::Serial))
-            .or_else(|| cells.first());
-        match cell {
-            Some(cell) => {
-                if let Err(err) = export_cell_trace(cell, path) {
-                    eprintln!("warning: could not write {}: {err}", path.display());
-                } else {
-                    eprintln!(
-                        "trace: wrote {} and {}",
-                        path.display(),
-                        chrome_trace_path(path).display()
-                    );
-                }
-            }
-            None => eprintln!("warning: --trace given but no scenarios loaded"),
-        }
+    if !finish_grid(
+        &cells,
+        &results,
+        args.json.as_deref(),
+        args.audit,
+        args.trace.as_deref(),
+    ) {
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

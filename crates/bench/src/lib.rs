@@ -232,6 +232,84 @@ pub fn parse_common_args() -> CommonArgs {
     }
 }
 
+/// The command line of the artifact-writing benchmark binaries
+/// (`bench_capacity`, `bench_competitive`, `bench_scale`).
+#[derive(Debug, Clone)]
+pub struct ArtifactArgs {
+    /// Run the reduced sweep (`--quick`).
+    pub quick: bool,
+    /// Artifact path (`--out PATH`).
+    pub out: std::path::PathBuf,
+    /// Master RNG seed (`--seed N`, default the experiment seed).
+    pub seed: u64,
+}
+
+/// Parses the artifact binaries' flags from `args` (binary name already
+/// stripped), with `default_out` as the artifact path unless `--out` is
+/// given. `Ok(None)` when help was requested.
+pub fn parse_artifact_args_from(
+    args: &[String],
+    default_out: &str,
+) -> Result<Option<ArtifactArgs>, String> {
+    let mut out = ArtifactArgs {
+        quick: false,
+        out: std::path::PathBuf::from(default_out),
+        seed: bfgts_scenario::EXPERIMENT_SEED,
+    };
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            "-h" | "--help" => return Ok(None),
+            "--quick" => out.quick = true,
+            "--out" => {
+                i += 1;
+                out.out = std::path::PathBuf::from(args.get(i).ok_or("--out needs a value")?);
+            }
+            "--seed" => {
+                i += 1;
+                let v = args.get(i).ok_or("--seed needs a value")?;
+                out.seed = v
+                    .parse()
+                    .map_err(|_| format!("--seed needs an integer, got '{v}'"))?;
+            }
+            other => return Err(format!("unknown argument '{other}'")),
+        }
+        i += 1;
+    }
+    Ok(Some(out))
+}
+
+/// Parses the artifact binaries' flags from the process arguments.
+/// Prints `usage` and exits with status 0 on `--help`, and with status 2
+/// after an error line on any unknown flag or malformed value.
+pub fn parse_artifact_args(usage: &str, default_out: &str) -> ArtifactArgs {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match parse_artifact_args_from(&argv, default_out) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        Err(msg) => {
+            eprintln!("error: {msg}\n{usage}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Writes `doc` and a newline to `path`, creating its parent directory
+/// first. The error names the directory or file that failed; each caller
+/// decides whether that is fatal (the benchmark binaries) or a warning
+/// (`bfgts_run --bench-json`).
+pub fn write_artifact(path: &std::path::Path, doc: &json::Json) -> Result<(), String> {
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent)
+            .map_err(|err| format!("could not create {}: {err}", parent.display()))?;
+    }
+    std::fs::write(path, doc.to_string() + "\n")
+        .map_err(|err| format!("could not write {}: {err}", path.display()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,6 +423,28 @@ mod tests {
     fn help_short_circuits() {
         assert!(parse(&["--help"]).unwrap().is_none());
         assert!(parse(&["-h", "--frobnicate"]).unwrap().is_none());
+    }
+
+    #[test]
+    fn artifact_args_parse_defaults_and_overrides() {
+        let parse = |args: &[&str]| {
+            let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            parse_artifact_args_from(&owned, "results/BENCH_x.json")
+        };
+        let defaults = parse(&[]).unwrap().unwrap();
+        assert!(!defaults.quick);
+        assert_eq!(defaults.out, std::path::Path::new("results/BENCH_x.json"));
+        assert_eq!(defaults.seed, bfgts_scenario::EXPERIMENT_SEED);
+        let set = parse(&["--quick", "--out", "a.json", "--seed", "7"])
+            .unwrap()
+            .unwrap();
+        assert!(set.quick);
+        assert_eq!(set.out, std::path::Path::new("a.json"));
+        assert_eq!(set.seed, 7);
+        assert!(parse(&["--help"]).unwrap().is_none());
+        for bad in [&["--seed", "x"][..], &["--out"], &["--jobs", "2"]] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

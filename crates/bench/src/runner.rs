@@ -625,13 +625,11 @@ pub fn run_grid(cells: &[RunCell], opts: &RunnerOptions) -> Vec<CellSummary> {
         .collect()
 }
 
-/// Runs the grid with the options selected on the command line and, when
-/// `--json PATH` was given, writes every cell summary there. `--audit`
-/// then re-runs every distinct cell with full tracing and verifies the
-/// accounting invariants (exiting 1 on a violation), and `--trace PATH`
-/// writes the first parallel cell's recording to disk. `--emit PATH`
-/// writes the (fault-armed) grid as a scenario file and exits without
-/// running anything.
+/// Runs the grid with the options selected on the command line, then
+/// hands `--json PATH`, `--audit` and `--trace PATH` to [`finish_grid`]
+/// (exiting 1 on an audit violation). `--emit PATH` writes the
+/// (fault-armed) grid as a scenario file and exits without running
+/// anything.
 pub fn run_grid_with_args(cells: &[RunCell], args: &CommonArgs) -> Vec<CellSummary> {
     // --faults arms every non-serial cell; the owned grid then feeds the
     // run, the audit and the trace export alike, so fault events show up
@@ -667,12 +665,37 @@ pub fn run_grid_with_args(cells: &[RunCell], args: &CommonArgs) -> Vec<CellSumma
         }
     }
     let results = run_grid(cells, &RunnerOptions::from_args(args));
-    if let Some(path) = &args.json {
-        if let Err(err) = write_grid_json(path, cells, &results) {
+    if !finish_grid(
+        cells,
+        &results,
+        args.json.as_deref(),
+        args.audit,
+        args.trace.as_deref(),
+    ) {
+        std::process::exit(1);
+    }
+    results
+}
+
+/// The post-run outputs a grid's command line asks for, shared by
+/// [`run_grid_with_args`] and `bfgts_run`: writes every cell summary to
+/// `json`, re-runs every distinct cell with full tracing and audits it
+/// when `audit` is set, and writes the first parallel cell's recording
+/// to `trace`. Write failures are warnings. Returns false when the audit
+/// found a violation (reported on stderr); the caller exits 1.
+pub fn finish_grid(
+    cells: &[RunCell],
+    results: &[CellSummary],
+    json: Option<&Path>,
+    audit: bool,
+    trace: Option<&Path>,
+) -> bool {
+    if let Some(path) = json {
+        if let Err(err) = write_grid_json(path, cells, results) {
             eprintln!("warning: could not write {}: {err}", path.display());
         }
     }
-    if args.audit {
+    if audit {
         match audit_cells(cells) {
             Ok(totals) => eprintln!("audit: {totals}"),
             Err(violations) => {
@@ -683,11 +706,11 @@ pub fn run_grid_with_args(cells: &[RunCell], args: &CommonArgs) -> Vec<CellSumma
                     "error: accounting audit failed with {} violation(s)",
                     violations.len()
                 );
-                std::process::exit(1);
+                return false;
             }
         }
     }
-    if let Some(path) = &args.trace {
+    if let Some(path) = trace {
         // A parallel cell makes the most interesting trace; serial
         // baselines have no conflicts to look at.
         let cell = cells
@@ -709,7 +732,7 @@ pub fn run_grid_with_args(cells: &[RunCell], args: &CommonArgs) -> Vec<CellSumma
             None => eprintln!("warning: --trace given but the grid has no cells"),
         }
     }
-    results
+    true
 }
 
 /// Totals accumulated by a clean [`audit_cells`] pass.
@@ -1171,33 +1194,6 @@ mod tests {
         let rebuilt = RunCell::from_scenario(parsed).unwrap();
         assert_eq!(rebuilt.cache_key(), cell.cache_key());
         assert_eq!(rebuilt.execute(), cell.execute());
-    }
-
-    #[test]
-    fn open_system_jsonl_identical_across_queue_kinds() {
-        // The arrival schedule is a pure function of (spec, seed,
-        // thread): the event-queue flavour must not leak into the
-        // open-system stream, down to the exported bytes.
-        let spec = tiny_spec();
-        let arrivals = bfgts_workloads::ArrivalSpec::poisson(1200);
-        let mk = |queue| {
-            let cfg = bfgts_htm::TmRunConfig::new(4, 8)
-                .seed(0xB16_B00B5)
-                .queue(queue)
-                .trace(TraceMode::Full);
-            let report = run_workload(
-                &cfg,
-                open_sources(spec.sources(8), &arrivals, 0xB16_B00B5),
-                Box::new(BackoffCm::default()),
-            );
-            report.audit_or_panic();
-            let inputs = report.audit_inputs();
-            crate::trace_export::to_jsonl(&report.sim.trace, &inputs)
-        };
-        let heap = mk(bfgts_sim::EventQueueKind::Heap);
-        let calendar = mk(bfgts_sim::EventQueueKind::Calendar);
-        assert!(heap.contains("tx_arrival"), "stream records arrivals");
-        assert_eq!(heap, calendar, "queue flavour changed the stream");
     }
 
     #[test]

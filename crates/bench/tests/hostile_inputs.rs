@@ -1,12 +1,12 @@
 //! Hostile inputs at the binaries' trust boundaries: a document nested
 //! far past the JSON parser's depth limit, declaring a platform far
 //! wider than any experiment runs, or asking for a Bloom filter no
-//! signature can be built as, must be reported as an error — never
-//! overflow the stack, panic or abort on allocation — and a server must
-//! go on serving after it.
+//! signature can be built as or a confidence table no run can hold,
+//! must be reported as an error — never overflow the stack, panic or
+//! abort on allocation — and a server must go on serving after it.
 
 use bfgts_bench::trace_export::to_jsonl;
-use bfgts_core::{BfgtsConfig, MAX_BLOOM_BITS};
+use bfgts_core::{BfgtsConfig, MAX_ALIAS_SLOTS, MAX_BLOOM_BITS};
 use bfgts_scenario::{BfgtsTunables, ManagerKind, ManagerSpec, Platform, Scenario, WorkloadSpec};
 use bfgts_trace::{AuditInputs, TraceRecording};
 use std::io::Write as _;
@@ -175,6 +175,49 @@ fn bfgts_run_reports_an_impossible_bloom_size() {
     }
 }
 
+/// A tuned BFGTS-HW manager on Intruder, whose conflicts fill the
+/// confidence table, with its `alias_slots` field set to `slots`.
+fn alias_slots_document(slots: u64) -> String {
+    let manager = ManagerSpec::Bfgts(BfgtsTunables::from_config(
+        &BfgtsConfig::hw().with_alias_slots(4),
+    ));
+    let doc = Scenario::new(
+        WorkloadSpec::Preset {
+            name: "Intruder".into(),
+            total_txs: 400,
+        },
+        manager,
+        Platform {
+            cpus: 4,
+            threads: 8,
+            ..Platform::small()
+        },
+    )
+    .to_json()
+    .to_string();
+    assert!(doc.contains("\"alias_slots\":4"), "{doc}");
+    doc.replace("\"alias_slots\":4", &format!("\"alias_slots\":{slots}"))
+}
+
+/// Aliased confidence tables no run can hold: no slot at all, or far
+/// more slots² entries than memory.
+const BAD_ALIAS_SLOTS: [u64; 2] = [0, 4_000_000_000];
+
+fn alias_slots_error(slots: u64) -> String {
+    format!("manager field 'alias_slots' must be in 1..={MAX_ALIAS_SLOTS}, got {slots}")
+}
+
+#[test]
+fn bfgts_run_reports_an_impossible_alias_table() {
+    for slots in BAD_ALIAS_SLOTS {
+        bfgts_run_rejects(
+            &format!("alias_{slots}"),
+            &alias_slots_document(slots),
+            &alias_slots_error(slots),
+        );
+    }
+}
+
 /// Feeds `bad` then a valid scenario to `bfgts_serve --stdin`: the bad
 /// document fails the run (exit 1) with a report matching `expect`, and
 /// the valid one is still served.
@@ -232,5 +275,12 @@ fn bfgts_serve_reports_an_impossible_bloom_size_and_serves_the_next() {
         for (_, doc) in bloom_bits_documents(bits) {
             serve_after(&doc, &bloom_bits_error(bits));
         }
+    }
+}
+
+#[test]
+fn bfgts_serve_reports_an_impossible_alias_table_and_serves_the_next() {
+    for slots in BAD_ALIAS_SLOTS {
+        serve_after(&alias_slots_document(slots), &alias_slots_error(slots));
     }
 }

@@ -6,6 +6,11 @@ use bfgts_bloomsig::SignatureKind;
 /// of the paper's Figure 6 sweep (512–8192).
 pub const MAX_BLOOM_BITS: u32 = 8192;
 
+/// Largest aliased confidence table a scenario may request, in slots per
+/// side. The table holds slots² `f64` entries, so 1024 slots bound it at
+/// 8 MiB; the aliasing ablation sweeps 1, 2 and 4.
+pub const MAX_ALIAS_SLOTS: u32 = 1024;
+
 /// Which of the paper's four evaluated BFGTS flavours to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BfgtsVariant {

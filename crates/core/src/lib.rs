@@ -54,7 +54,7 @@ mod manager;
 mod sig;
 mod tables;
 
-pub use config::{BfgtsConfig, BfgtsVariant, MAX_BLOOM_BITS};
+pub use config::{BfgtsConfig, BfgtsVariant, MAX_ALIAS_SLOTS, MAX_BLOOM_BITS};
 pub use faults::{CmFaults, PoisonMode};
 pub use hw::HwPredictor;
 pub use manager::BfgtsCm;

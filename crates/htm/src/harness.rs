@@ -6,7 +6,7 @@ use crate::state::{Detection, TmWorld};
 use crate::stats::TmStats;
 use crate::thread::{TxThreadConfig, TxThreadLogic};
 use crate::txn::TxSource;
-use bfgts_sim::{CostModel, Engine, EngineConfig, EventQueueKind, RunReport, TraceMode};
+use bfgts_sim::{CostModel, Engine, EngineConfig, RunReport, TraceMode};
 
 /// Default master seed of a run when none is given — the single source
 /// of truth shared by [`TmRunConfig::new`] and every layer above that
@@ -55,10 +55,6 @@ pub struct TmRunConfig {
     /// Event-trace recording mode ([`TraceMode::Off`] by default; the
     /// accounting audit needs [`TraceMode::Full`]).
     pub trace: TraceMode,
-    /// Engine pending-event structure. Results are byte-identical for
-    /// every kind (a pure wall-clock knob, measured by `bench_scale`),
-    /// so it is not part of any scenario's identity.
-    pub queue: EventQueueKind,
     /// Conflict-detection shards the address space is partitioned into
     /// (DESIGN.md §11). 1 (the default) is the classic monolithic table;
     /// with more, cross-shard commits pay
@@ -90,7 +86,6 @@ impl TmRunConfig {
             max_cycles: 50_000_000_000,
             record_history: false,
             trace: TraceMode::Off,
-            queue: EventQueueKind::default(),
             shards: 1,
             detection: Detection::Perfect,
             detection_fault: None,
@@ -127,12 +122,6 @@ impl TmRunConfig {
     /// Replaces the trace mode.
     pub fn trace(mut self, trace: TraceMode) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Replaces the engine's pending-event structure.
-    pub fn queue(mut self, queue: EventQueueKind) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -325,8 +314,7 @@ where
     let mut engine_cfg = EngineConfig::with_cpus(cfg.num_cpus)
         .costs(cfg.costs.clone())
         .seed(cfg.seed)
-        .trace(cfg.trace)
-        .queue(cfg.queue);
+        .trace(cfg.trace);
     engine_cfg.max_cycles = cfg.max_cycles;
     let mut engine = Engine::new(engine_cfg, world);
     for source in sources {

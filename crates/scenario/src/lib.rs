@@ -27,7 +27,7 @@ use bfgts_baselines::{
     AtsCm, BackoffCm, BalancedGreedyCm, BalancedGreedyConfig, PolkaCm, PtsCm, PtsConfig, StallCm,
     WindowGreedyCm, WindowGreedyConfig,
 };
-use bfgts_core::{BfgtsCm, BfgtsConfig, BfgtsVariant, CmFaults, MAX_BLOOM_BITS};
+use bfgts_core::{BfgtsCm, BfgtsConfig, BfgtsVariant, CmFaults, MAX_ALIAS_SLOTS, MAX_BLOOM_BITS};
 use bfgts_faultsim::{Fault, FaultPlan};
 pub use bfgts_htm::Detection;
 use bfgts_htm::{ContentionManager, TmRunConfig};
@@ -539,13 +539,26 @@ impl BfgtsTunables {
             bloom_bits: ManagerSpec::opt_bloom_bits(value)?,
             small_tx_interval: ManagerSpec::opt_u32(value, "small_tx_interval")?
                 .ok_or("bfgts manager needs a 'small_tx_interval' integer")?,
-            alias_slots: ManagerSpec::opt_u32(value, "alias_slots")?,
+            alias_slots: Self::opt_alias_slots(value)?,
             similarity_weighting: match value.get("similarity_weighting") {
                 Some(Json::Bool(b)) => *b,
                 Some(_) => return Err("'similarity_weighting' must be a boolean".into()),
                 None => return Err("bfgts manager needs a 'similarity_weighting' boolean".into()),
             },
         })
+    }
+
+    /// The optional `alias_slots` field, checked before the confidence
+    /// table is built: it needs at least one slot, and its slots² entries
+    /// are bounded by `MAX_ALIAS_SLOTS`.
+    fn opt_alias_slots(value: &Json) -> Result<Option<u32>, String> {
+        let slots = ManagerSpec::opt_u32(value, "alias_slots")?;
+        match slots {
+            Some(n) if !(1..=MAX_ALIAS_SLOTS).contains(&n) => Err(format!(
+                "manager field 'alias_slots' must be in 1..={MAX_ALIAS_SLOTS}, got {n}"
+            )),
+            _ => Ok(slots),
+        }
     }
 }
 

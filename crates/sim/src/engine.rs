@@ -3,7 +3,7 @@
 
 use crate::accounting::{Bucket, TimeBuckets};
 use crate::cost::CostModel;
-use crate::equeue::{EventQueue, EventQueueKind};
+use crate::equeue::CalendarQueue;
 use crate::ids::{CpuId, ThreadId};
 use crate::rng::SimRng;
 use crate::time::Cycle;
@@ -131,10 +131,6 @@ pub struct EngineConfig {
     /// Event recording mode (off by default; tracing-disabled runs pay
     /// one branch per would-be event).
     pub trace: TraceMode,
-    /// Pending-event structure. Results are byte-identical for every
-    /// kind, so this is a pure wall-clock knob and is deliberately not
-    /// part of any scenario's identity.
-    pub queue: EventQueueKind,
 }
 
 impl EngineConfig {
@@ -146,7 +142,6 @@ impl EngineConfig {
             seed: 0xBF67_5000,
             max_cycles: u64::MAX,
             trace: TraceMode::Off,
-            queue: EventQueueKind::default(),
         }
     }
 
@@ -165,12 +160,6 @@ impl EngineConfig {
     /// Replaces the trace mode.
     pub fn trace(mut self, trace: TraceMode) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Replaces the pending-event structure.
-    pub fn queue(mut self, queue: EventQueueKind) -> Self {
-        self.queue = queue;
         self
     }
 }
@@ -278,7 +267,7 @@ pub struct Engine<W> {
     world: W,
     threads: Vec<ThreadSlot<W>>,
     cpus: Vec<Cpu>,
-    queue: EventQueue,
+    queue: CalendarQueue,
     seq: u64,
     now: Cycle,
     finished: usize,
@@ -298,13 +287,12 @@ impl<W> Engine<W> {
         assert!(config.num_cpus > 0, "engine needs at least one CPU");
         let cpus = (0..config.num_cpus).map(|_| Cpu::default()).collect();
         let trace = TraceSink::new(config.trace);
-        let queue = EventQueue::new(config.queue);
         Self {
             config,
             world,
             threads: Vec::new(),
             cpus,
-            queue,
+            queue: CalendarQueue::new(),
             seq: 0,
             now: Cycle::ZERO,
             finished: 0,

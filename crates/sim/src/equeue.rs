@@ -2,22 +2,18 @@
 //!
 //! The engine keeps at most one armed service event per CPU, ordered by
 //! `(time, seq)` (the arming sequence number is unique, so the CPU index
-//! never participates in ordering — it is payload). Two interchangeable
-//! structures implement that order:
+//! never participates in ordering — it is payload). It stores them in a
+//! [`CalendarQueue`]: a ring of `WINDOW` (8192) cycle-granularity
+//! buckets with a two-level occupancy bitmap, plus a sorted overflow
+//! tier for events beyond the window. Push and pop are `O(1)` amortized,
+//! independent of the number of armed CPUs (DESIGN.md §11).
 //!
-//! * [`EventQueueKind::Heap`] — the original global
-//!   `BinaryHeap<Reverse<(Cycle, u64, usize)>>`: `O(log n)` per push/pop,
-//!   where `n` is the number of armed CPUs.
-//! * [`EventQueueKind::Calendar`] — an indexed calendar queue: a ring of
-//!   `WINDOW` (8192) cycle-granularity buckets with a two-level occupancy
-//!   bitmap, plus a sorted overflow tier for events beyond the window.
-//!   Push and pop are `O(1)` amortized, independent of the number of
-//!   armed CPUs, which is what lets the engine scale from the paper's
-//!   16 CPUs to 1024 (DESIGN.md §11).
-//!
-//! Both produce the exact same pop sequence (proven by the differential
-//! tests below and `tests/tie_break.rs`), so simulation results are
-//! byte-identical regardless of the structure chosen.
+//! [`EventQueue`] puts the global
+//! `BinaryHeap<Reverse<(Cycle, u64, usize)>>` (`O(log n)` per push/pop)
+//! next to it behind [`EventQueueKind`]. The engine never uses it: it
+//! exists for perfbench's queue microbenchmark and as the oracle of the
+//! differential tests below and in `tests/tie_break.rs`, which prove
+//! both structures produce the exact same pop sequence.
 
 use crate::time::Cycle;
 use std::cmp::Reverse;
@@ -26,16 +22,17 @@ use std::collections::{BTreeMap, BinaryHeap};
 /// One pending service event: `(time, seq, cpu)`.
 pub type Event = (Cycle, u64, usize);
 
-/// Which pending-event structure the engine uses. Not part of a
-/// scenario's identity: results are byte-identical either way, so the
-/// choice is a pure wall-clock knob (`bench_scale` measures both).
+/// Which structure an [`EventQueue`] wraps. Exists only for perfbench's
+/// queue microbenchmark and the differential tests; the engine always
+/// runs a [`CalendarQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EventQueueKind {
-    /// Indexed calendar queue, `O(1)` amortized per event (the default).
+    /// Indexed calendar queue, `O(1)` amortized per event (the engine's
+    /// structure).
     #[default]
     Calendar,
-    /// Global binary heap, `O(log n)` per event. Kept as the
-    /// differential-testing oracle and the benchmark baseline.
+    /// Global binary heap, `O(log n)` per event: the differential-testing
+    /// oracle and the microbenchmark baseline.
     Heap,
 }
 
@@ -79,7 +76,7 @@ impl Slot {
     }
 }
 
-/// The indexed calendar queue.
+/// The indexed calendar queue: the engine's pending-event set.
 ///
 /// Invariants, maintained by migrating overflow entries eagerly on every
 /// cursor advance:
@@ -307,7 +304,10 @@ impl CalendarQueue {
     }
 }
 
-/// The engine's pending-event set, behind the [`EventQueueKind`] switch.
+/// Either pending-event structure behind one interface, selected by
+/// [`EventQueueKind`]. Exists only for perfbench's queue microbenchmark
+/// and the differential tests; the engine stores a [`CalendarQueue`]
+/// directly.
 #[derive(Debug)]
 pub enum EventQueue {
     /// The original binary heap.

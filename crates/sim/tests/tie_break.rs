@@ -1,12 +1,11 @@
 //! Regression tests pinning the engine's event tie-break contract.
 //!
 //! Pending events order by `(time, seq)` — the arming sequence number,
-//! not the CPU index, breaks same-cycle ties, and both pending-event
-//! structures must agree on that order exactly (it is what makes
-//! simulation results byte-identical under either queue). The
-//! starvation clamps are part of the same contract: a zero-cost action
-//! stream must still advance time by at least one cycle per step, or
-//! one CPU could pin the queue to a single timestamp forever.
+//! not the CPU index, breaks same-cycle ties, and the engine's calendar
+//! queue must agree exactly with the binary-heap oracle on that order.
+//! The starvation clamps are part of the same contract: a zero-cost
+//! action stream must still advance time by at least one cycle per
+//! step, or one CPU could pin the queue to a single timestamp forever.
 
 use bfgts_sim::equeue::{EventQueue, EventQueueKind};
 use bfgts_sim::{Action, Bucket, Cycle, Engine, EngineConfig, ThreadCtx, ThreadLogic};
@@ -99,32 +98,4 @@ fn zero_cost_yield_cannot_starve_the_run_queue() {
         "zero-cost yields must each advance >= 1 cycle, makespan {}",
         report.makespan.as_u64()
     );
-}
-
-#[test]
-fn engine_results_are_identical_under_both_queues() {
-    // The queue kind is a pure wall-clock knob: an engine run with
-    // mixed work/yield traffic over several overcommitted CPUs must
-    // produce the same makespan and the same cycle accounting under
-    // the heap and the calendar.
-    let run = |kind: EventQueueKind| {
-        let mut engine = Engine::new(EngineConfig::with_cpus(3).queue(kind), ());
-        for t in 0..9u64 {
-            let mut actions = Vec::new();
-            for i in 0..40u64 {
-                if (t + i) % 5 == 0 {
-                    actions.push(Action::Yield);
-                } else {
-                    actions.push(Action::work(1 + (t * 31 + i * 7) % 400, Bucket::NonTx));
-                }
-            }
-            engine.spawn(Box::new(Script::new(actions)));
-        }
-        engine.run()
-    };
-    let heap = run(EventQueueKind::Heap);
-    let calendar = run(EventQueueKind::Calendar);
-    assert_eq!(heap.makespan, calendar.makespan);
-    assert_eq!(heap.total(), calendar.total());
-    assert_eq!(heap.per_thread, calendar.per_thread);
 }
